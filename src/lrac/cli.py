@@ -8,7 +8,8 @@ CSV row per parameter point.  verify runs the internal consistency suite
 and exits nonzero on the first violated invariant.
 
 Exit codes: 0 success, 1 failed invariant or non-viable problem, 2 usage
-or schema errors.
+or schema errors, 3 a solver failed (simplex iteration limit, a program
+reported infeasible or unbounded, or a DP loop that did not converge).
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _horizon_trajectory(graph, y0: int, T: int) -> Trajectory:
-    """Unroll a cost-minimizing horizon-T trajectory from y0."""
-    _, policy = value_iteration_avg(graph, T, want_policy=True)
+def _horizon_trajectory(graph, y0: int, policy: np.ndarray) -> Trajectory:
+    """Unroll from y0 the horizon-T policy table of value_iteration_avg."""
+    T = policy.shape[0]
     states = np.empty(T + 1, dtype=int)
     pairs = np.empty(T, dtype=int)
     y = int(y0)
@@ -202,8 +203,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     if args.sweep == "T":
         for T in sorted(set(_parse_ints(args.values))):
-            value = value_iteration_avg(graph, T)(y0)
-            traj = _horizon_trajectory(graph, y0, T)
+            vf, policy = value_iteration_avg(graph, T, want_policy=True)
+            value = vf(y0)
+            traj = _horizon_trajectory(graph, y0, policy)
             dist = project_to_W(occupational_measure(traj), basis).distance
             rows.append([float(T), value, value - d_star, dist])
     elif args.sweep == "alpha":
@@ -386,6 +388,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # IterationLimit, PrimalInfeasible and DualUnbounded subclass it
+        print(f"solver failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@ The finite-horizon recursion works on unnormalized sums S_T(y) = T * V_T(y),
 
     S_T(y) = min over admissible u of  k(y, u) + S_{T-1}(f(y, u)),   S_0 = 0,
 
-so V_T is exact up to float addition.  The discounted iteration applies the
-standard contraction for h(y) = min over u of (1 - alpha) k(y, u) + alpha
-h(f(y, u)) and stops once the sup-norm change is at most tol * (1 - alpha),
-which bounds the sup-norm error by tol.
+so V_T is exact up to float addition.  Discounted values solve the fixed
+point h(y) = min over u of (1 - alpha) k(y, u) + alpha h(f(y, u)) by Howard
+policy iteration: each stationary policy is evaluated exactly by one linear
+solve, and a state changes its pair only where another pair improves the
+one-step lookahead by more than tol * (1 - alpha).  The loop stops when no
+state does, so the Bellman residual is at most tol * (1 - alpha) and the
+sup-norm error at most tol.
 """
 
 from __future__ import annotations
@@ -48,12 +51,15 @@ class ValueFunction:
     """State-indexed values with the parameters they were computed under.
 
     horizon is T for finite-horizon averages, None otherwise; alpha is the
-    discount factor for discounted values, None otherwise.
+    discount factor for discounted values, None otherwise.  iterations is
+    the work the solver did: T recursion steps for finite-horizon values,
+    policy-iteration rounds for discounted ones.
     """
 
     values: np.ndarray
     horizon: int | None = None
     alpha: float | None = None
+    iterations: int = 0
 
     def __call__(self, y: int) -> float:
         return float(self.values[y])
@@ -176,32 +182,58 @@ def value_iteration_avg(
         S = _segment_min(totals, graph)
         if want_policy:
             policy[T - remaining] = _segment_argmin_pair(totals, S, graph)
-    vf = ValueFunction(values=S / T, horizon=T)
+    vf = ValueFunction(values=S / T, horizon=T, iterations=T)
     return (vf, policy) if want_policy else vf
 
 
 def value_iteration_discounted(
     graph: Graph, alpha: float, tol: float = 1e-10
 ) -> ValueFunction:
-    """Normalized discounted values h_alpha, accurate to tol in sup norm."""
+    """Normalized discounted values h_alpha, accurate to tol in sup norm.
+
+    Howard policy iteration, starting from the myopic policy (lowest pair
+    on ties).  Each round evaluates the current policy pi exactly, by one
+    dense solve of (I - alpha P_pi) h = (1 - alpha) k_pi, then moves a
+    state to its best pair (lowest on ties) only where that pair beats the
+    current one by more than tol * (1 - alpha).  When no state moves, the
+    Bellman residual of h is at most tol * (1 - alpha), so h is within tol
+    of h_alpha.  iterations on the result counts the rounds, the last one
+    included.  Raises RuntimeError if the rounds exceed a cap that a
+    working loop never reaches.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    h = np.zeros(graph.n_states)
-    stop = tol * (1.0 - alpha)
-    M = max(graph.cost_bound, 1.0)
-    # Contraction gives change <= alpha^j * (1 - alpha) * M, so this cap
-    # cannot bind unless the update loop is broken.
-    cap = int(2.0 * (1.0 + np.log(M / tol) / -np.log(alpha))) + 1000
+    n = graph.n_states
+    rows = np.arange(n)
     stage = (1.0 - alpha) * graph.pair_cost
-    for _ in range(cap):
-        h_new = _segment_min(stage + alpha * h[graph.pair_succ], graph)
-        change = np.max(np.abs(h_new - h))
-        h = h_new
-        if change <= stop:
-            return ValueFunction(values=h, alpha=alpha)
-    raise RuntimeError("discounted value iteration failed to contract")
+    margin = tol * (1.0 - alpha)
+    policy = _segment_argmin_pair(stage, _segment_min(stage, graph), graph)
+    # In exact arithmetic every round strictly lowers the policy's values,
+    # so no policy comes back; the known worst cases on deterministic graphs
+    # need rounds of the order of the pair count, so this cap binds only if
+    # the loop is broken.
+    cap = 2 * graph.n_pairs + 100
+    for rounds in range(1, cap + 1):
+        A = np.eye(n)
+        A[rows, graph.pair_succ[policy]] -= alpha
+        # Solve for h - m, with m the policy's least cost: the same system,
+        # as (I - alpha P) maps constants to (1 - alpha) times themselves,
+        # but a policy whose costs are all equal then gets exactly that
+        # value everywhere.  Solving for h itself leaves rounding noise of
+        # order eps / (1 - alpha) that breaks exact ties near alpha = 1 and
+        # can send the loop round in circles.
+        k = graph.pair_cost[policy]
+        m = np.min(k)
+        h = m + np.linalg.solve(A, (1.0 - alpha) * (k - m))
+        lookahead = stage + alpha * h[graph.pair_succ]
+        best = _segment_min(lookahead, graph)
+        move = lookahead[policy] - best > margin
+        if not move.any():
+            return ValueFunction(values=h, alpha=alpha, iterations=rounds)
+        policy = np.where(move, _segment_argmin_pair(lookahead, best, graph), policy)
+    raise RuntimeError("discounted policy iteration did not converge")
 
 
 def greedy_policy(graph: Graph, h: ValueFunction) -> np.ndarray:

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from lrac import problem_to_dict, save_problem, toy_problem
+import lrac.cli
+from lrac import IterationLimit, problem_to_dict, save_problem, toy_problem
 from lrac.cli import main
 
 
@@ -278,6 +279,19 @@ class TestExitCodes:
     def test_bad_y0_is_usage_error(self, capsys):
         assert main(["solve", "--problem", "toy", "--y0", "99"]) == 2
         assert main(["solve", "--problem", "toy", "--y0", "-1"]) == 2
+
+    def test_solver_failure_exits_three(self, capsys, monkeypatch):
+        def give_up(graph, y0, theta=0.0):
+            raise IterationLimit("simplex exceeded 10 pivots on a 3x4 tableau")
+
+        monkeypatch.setattr(lrac.cli, "solve_dual", give_up)
+        assert main(["solve", "--problem", "toy", "--y0", "15"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "solver failed: IterationLimit: "
+            "simplex exceeded 10 pivots on a 3x4 tableau\n"
+        )
 
 
 class TestDeterminism:

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from lrac import (
+    ControlProblem,
     InadmissibleAction,
     NotPeriodic,
     PeriodicProcess,
     Trajectory,
+    ValueFunction,
     average_cost,
     build_graph,
     greedy_policy,
@@ -129,6 +131,77 @@ class TestDiscountedValues:
             h = vf.values
             slack = 2 * g.cost_bound * (1 - alpha) + 1e-9
             assert np.all(h[g.pair_state] <= h[g.pair_succ] + slack)
+
+
+def value_iteration_reference(graph, alpha, tol=1e-10):
+    """Plain value iteration: sweep the discounted Bellman operator from
+    h = 0 until the sup-norm change is at most tol * (1 - alpha)."""
+    h = np.zeros(graph.n_states)
+    stage = (1.0 - alpha) * graph.pair_cost
+    starts = graph.state_offset[:-1]
+    while True:
+        h_new = np.minimum.reduceat(stage + alpha * h[graph.pair_succ], starts)
+        change = np.max(np.abs(h_new - h))
+        h = h_new
+        if change <= tol * (1.0 - alpha):
+            return ValueFunction(values=h, alpha=alpha)
+
+
+def constant_cost_graph(n, seed, cost=0.3):
+    """Two actions per state with arbitrary successors and one cost, so
+    every policy is optimal and every state has an exact tie."""
+    succ = np.random.default_rng(seed).integers(0, n, size=(n, 2))
+    return build_graph(
+        ControlProblem(
+            name="flat",
+            states=np.arange(n, dtype=float)[:, None],
+            actions=("a", "b"),
+            successor=succ,
+            cost=np.full((n, 2), cost),
+        )
+    )
+
+
+class TestPolicyIteration:
+    def test_matches_value_iteration(self, toy_graph, threestate_graph, random_graphs):
+        graphs = [toy_graph, threestate_graph] + random_graphs[::4][:12]
+        for g in graphs:
+            for alpha in (0.5, 0.9, 0.99, 0.999):
+                vf = value_iteration_discounted(g, alpha)
+                ref = value_iteration_reference(g, alpha)
+                assert np.max(np.abs(vf.values - ref.values)) <= 1e-9
+                assert np.array_equal(greedy_policy(g, vf), greedy_policy(g, ref))
+
+    def test_toy_closed_form_near_one(self, toy_graph):
+        # flip once to -y and hold from y > 0; hold from y <= 0
+        y = toy_graph.problem.states[:, 0]
+        for alpha in (0.9999, 0.999999):
+            vf = value_iteration_discounted(toy_graph, alpha)
+            want = np.where(y > 0, y * (1.0 - 2.0 * alpha), y)
+            assert np.max(np.abs(vf.values - want)) <= 1e-12
+
+    def test_toy_tie_at_zero_keeps_lowest_pair(self, toy_graph):
+        # both actions at y = 0 lead back to 0 at cost 0
+        zero = int(np.flatnonzero(toy_graph.problem.states[:, 0] == 0.0)[0])
+        for alpha in (0.5, 0.9, 0.999, 0.999999):
+            vf = value_iteration_discounted(toy_graph, alpha)
+            assert abs(vf.values[zero]) <= 1e-12
+            assert greedy_policy(toy_graph, vf)[zero] == 0
+
+    def test_constant_cost_ties_terminate_on_lowest_pair(self):
+        for seed in range(20):
+            g = constant_cost_graph(3 + seed, seed)
+            for alpha in (0.5, 0.9, 0.999, 0.999999, 1.0 - 1e-9):
+                vf = value_iteration_discounted(g, alpha)
+                assert vf.iterations == 1
+                assert np.all(vf.values == 0.3)
+                assert np.all(greedy_policy(g, vf) == 0)
+
+    def test_iterations_recorded(self, threestate_graph):
+        assert value_iteration_avg(threestate_graph, 7).iterations == 7
+        vf = value_iteration_discounted(threestate_graph, 0.9)
+        assert 1 <= vf.iterations <= threestate_graph.n_pairs
+        assert ValueFunction(values=np.zeros(3)).iterations == 0
 
 
 class TestPoliciesAndRollouts:

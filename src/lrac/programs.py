@@ -18,12 +18,31 @@ potential corrections, psi nondecreasing along the dynamics up to theta:
     subject to k(y,u) + psi(y0) - psi(y) + eta(f(y,u)) - eta(y) >= mu,
                psi(f(y,u)) - psi(y) >= -theta.
 
+It is the LP dual of the measure program, so one simplex solve of the
+measure program yields both sides.  Its rows are, in order, the mass
+row, stationarity for z = 0..n-1, transfer for z = 0..n-1 and, at
+theta = 0, a cap on the flow mass; with y the row duals (b'y equal to
+the objective), the optimal certificate is
+
+    mu = y[0],   eta = -y[1 : n+1],   psi = -y[n+1 : 2n+1],
+
+and the cap row's dual is zero because its slack stays basic.  Only
+solve_primal builds a tableau; solve_dual and solve_q_form are views of
+its result.
+
 On a finite graph both optimal values agree with the minimum mean cost
 over cycles reachable from y0, computed here directly by Karp's method.
-The q-form program is the dual with mu eliminated, maximizing psi(y0); at
-theta = 0 its value is the largest w(y0) over functions w nondecreasing
-along the dynamics whose expected slack k - w is nonnegative on every
-stationary measure, the test implemented by k_membership.
+The q-form program is the dual with mu eliminated, maximizing psi(y0):
+
+    maximize   psi(y0)
+    subject to k(y,u) - psi(y) + eta(f(y,u)) - eta(y) >= 0,
+               psi(f(y,u)) - psi(y) >= -theta.
+
+Its optimum is the certificate shifted, psi + (mu - psi(y0)) with the
+same eta, and its value is mu, for every theta >= 0.  At theta = 0 that
+value is the largest w(y0) over functions w nondecreasing along the
+dynamics whose expected slack k - w is nonnegative on every stationary
+measure, the test implemented by k_membership.
 """
 
 from __future__ import annotations
@@ -55,7 +74,6 @@ __all__ = [
     "VPerResult",
     "ProjectionResult",
     "PrimalInfeasible",
-    "DualUnbounded",
     "solve_primal",
     "solve_dual",
     "solve_q_form",
@@ -72,10 +90,6 @@ __all__ = [
 
 class PrimalInfeasible(RuntimeError):
     """Defensive: the measure program cannot be infeasible on a viable graph."""
-
-
-class DualUnbounded(RuntimeError):
-    """Defensive: certificate programs are bounded by weak duality."""
 
 
 @dataclass(frozen=True)
@@ -104,11 +118,16 @@ class PrimalPair:
 
 @dataclass(frozen=True)
 class PrimalResult:
+    """Both sides of one measure-program solve from y0: the optimal
+    (gamma, xi) and the certificate read off the row duals."""
+
     value: float
     pair: PrimalPair
     cap_dual: float
     iterations: int
     residuals: dict[str, float]
+    cert: DualCertificate
+    y0: int
 
     def to_dict(self) -> dict:
         return {
@@ -119,6 +138,25 @@ class PrimalResult:
             "iterations": self.iterations,
             "residuals": self.residuals,
         }
+
+    def as_dual(self) -> DualResult:
+        """The certificate program's optimum; value d* = mu."""
+        return DualResult(
+            value=self.cert.mu,
+            cert=self.cert,
+            iterations=self.iterations,
+            residuals=self.residuals,
+        )
+
+    def as_q_form(self) -> QFormResult:
+        """The q-form optimum: psi shifted so that psi(y0) = mu, same eta."""
+        psi = self.cert.psi + (self.cert.mu - self.cert.psi[self.y0])
+        return QFormResult(
+            value=float(psi[self.y0]),
+            psi=psi,
+            eta=self.cert.eta,
+            iterations=self.iterations,
+        )
 
 
 @dataclass(frozen=True)
@@ -196,7 +234,9 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
     At theta = 0 the flow is free, so an explicit cap
     <1, xi> <= n_states * n_pairs (far above what any transfer needs)
     keeps the feasible region bounded; the cap's dual multiplier is
-    reported and should be zero at any optimum.
+    reported and should be zero at any optimum.  The result also carries
+    the optimal certificate, read off the row duals (see the module
+    docstring).
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
@@ -228,94 +268,32 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
         )
     gamma = OccupationalMeasure(graph=graph, weights=sol.x[:P])
     xi = FlowMeasure(graph=graph, weights=sol.x[P : 2 * P])
+    y = sol.y
+    cert = DualCertificate(mu=float(y[0]), psi=-y[n + 1 : 2 * n + 1], eta=-y[1 : n + 1])
     return PrimalResult(
         value=float(sol.objective),
         pair=PrimalPair(gamma=gamma, xi=xi),
-        cap_dual=float(sol.y[2 * n + 1]) if capped else 0.0,
+        cap_dual=float(y[2 * n + 1]) if capped else 0.0,
         iterations=sol.iterations,
         residuals=simplex.kkt_residuals(lp, sol),
+        cert=cert,
+        y0=int(y0),
     )
 
 
 def solve_dual(graph: Graph, y0: int, theta: float = 0.0) -> DualResult:
-    """Best lower-bound constant mu with certifying potentials (psi, eta)."""
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    n, P = graph.n_states, graph.n_pairs
-    # variables: mu, psi (n), eta (n), then slacks for the two constraint blocks
-    n_free = 1 + 2 * n
-    n_vars = n_free + 2 * P
-    A = np.zeros((2 * P, n_vars))
-    b = np.zeros(2 * P)
-    rows = np.arange(P)
-    A[rows, 0] = -1.0
-    np.add.at(A[:P], (rows, 1 + graph.pair_state), -1.0)
-    A[rows, 1 + y0] += 1.0
-    np.add.at(A[:P], (rows, 1 + n + graph.pair_succ), 1.0)
-    np.add.at(A[:P], (rows, 1 + n + graph.pair_state), -1.0)
-    A[rows, n_free + rows] = -1.0
-    b[:P] = -graph.pair_cost
-    np.add.at(A[P:], (rows, 1 + graph.pair_succ), 1.0)
-    np.add.at(A[P:], (rows, 1 + graph.pair_state), -1.0)
-    A[P + rows, n_free + P + rows] = -1.0
-    b[P:] = -theta
-    c = np.zeros(n_vars)
-    c[0] = 1.0
-    free = np.zeros(n_vars, dtype=bool)
-    free[:n_free] = True
-    lp = simplex.LinearProgram(c=c, A=A, b=b, free=free, sense="max")
-    sol = simplex.solve(lp)
-    if sol.status != "optimal":
-        raise DualUnbounded(
-            f"certificate program for y0={y0}, theta={theta} returned {sol.status}"
-        )
-    cert = DualCertificate(
-        mu=float(sol.x[0]), psi=sol.x[1 : 1 + n].copy(), eta=sol.x[1 + n : 1 + 2 * n].copy()
-    )
-    return DualResult(
-        value=float(sol.objective),
-        cert=cert,
-        iterations=sol.iterations,
-        residuals=simplex.kkt_residuals(lp, sol),
-    )
+    """Best lower-bound constant mu with certifying potentials (psi, eta),
+    read off the row duals of the measure program."""
+    return solve_primal(graph, y0, theta).as_dual()
 
 
 def solve_q_form(graph: Graph, y0: int, theta: float = 0.0) -> QFormResult:
     """Certificate program with the constant eliminated: maximize psi(y0)
     over psi nondecreasing along the dynamics up to theta, with eta
     absorbing cost slack, k - psi + eta(f) - eta >= 0 on every pair.
+    Its optimum is the measure program's certificate with psi shifted.
     """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    n, P = graph.n_states, graph.n_pairs
-    n_free = 2 * n
-    n_vars = n_free + 2 * P
-    A = np.zeros((2 * P, n_vars))
-    b = np.zeros(2 * P)
-    rows = np.arange(P)
-    np.add.at(A[:P], (rows, graph.pair_state), -1.0)
-    np.add.at(A[:P], (rows, n + graph.pair_succ), 1.0)
-    np.add.at(A[:P], (rows, n + graph.pair_state), -1.0)
-    A[rows, n_free + rows] = -1.0
-    b[:P] = -graph.pair_cost
-    np.add.at(A[P:], (rows, graph.pair_succ), 1.0)
-    np.add.at(A[P:], (rows, graph.pair_state), -1.0)
-    A[P + rows, n_free + P + rows] = -1.0
-    b[P:] = -theta
-    c = np.zeros(n_vars)
-    c[y0] = 1.0
-    free = np.zeros(n_vars, dtype=bool)
-    free[:n_free] = True
-    lp = simplex.LinearProgram(c=c, A=A, b=b, free=free, sense="max")
-    sol = simplex.solve(lp)
-    if sol.status != "optimal":
-        raise DualUnbounded(f"q-form program for y0={y0} returned {sol.status}")
-    return QFormResult(
-        value=float(sol.objective),
-        psi=sol.x[:n].copy(),
-        eta=sol.x[n : 2 * n].copy(),
-        iterations=sol.iterations,
-    )
+    return solve_primal(graph, y0, theta).as_q_form()
 
 
 def sup_over_K(graph: Graph, y0: int) -> float:

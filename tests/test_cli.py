@@ -313,7 +313,7 @@ class TestExitCodes:
         def give_up(graph, y0, theta=0.0):
             raise IterationLimit("simplex exceeded 10 pivots on a 3x4 tableau")
 
-        monkeypatch.setattr(lrac.cli, "solve_dual", give_up)
+        monkeypatch.setattr(lrac.cli, "solve_primal", give_up)
         assert main(["solve", "--problem", "toy", "--y0", "15"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -344,3 +344,40 @@ class TestDeterminism:
         _, from_file = _run(capsys, ["solve", "--problem", str(path), "--y0", "15"])
         _, builtin = _run(capsys, ["solve", "--problem", "toy", "--y0", "15"])
         assert json.loads(from_file)["d_star"] == json.loads(builtin)["d_star"]
+
+
+class TestSimplexCalls:
+    """Each command reads k*, d*, the certificate and the q-form optimum off
+    one theta = 0 measure solve; a second tableau for any of them shows up
+    here as an extra simplex call."""
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            # the theta = 0 solve, then one perturbed primal per default T
+            (["solve", "--problem", "toy", "--y0", "15"], 4),
+            # that solve, perturbed primals at T = 10, 100, the membership LP
+            (["verify", "--problem", "toy", "--y0", "15"], 4),
+            (["verify", "--problem", "threestate", "--y0", "0"], 4),
+            # theta = 0 reuses the solve that gives d*; one projection per row
+            (
+                [
+                    "sweep", "--problem", "threestate", "--y0", "0",
+                    "--sweep", "theta", "--values", "0,0.05",
+                ],
+                4,
+            ),
+        ],
+    )
+    def test_call_count(self, capsys, monkeypatch, argv, calls):
+        real = lrac.simplex.solve
+        seen = []
+
+        def counting(lp, *args, **kwargs):
+            seen.append(lp.A.shape)
+            return real(lp, *args, **kwargs)
+
+        monkeypatch.setattr(lrac.simplex, "solve", counting)
+        code, _ = _run(capsys, argv)
+        assert code == 0
+        assert len(seen) == calls, seen

@@ -1,6 +1,8 @@
 """The bracketing linear programs, the minimum-mean-cycle solver, and the
 value-function cone tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lrac import (
     OccupationalMeasure,
     PeriodicProcess,
     build_graph,
+    certificate_residuals,
     chebyshev_basis,
     ergodic_inner_lp,
     k_membership,
@@ -140,6 +143,92 @@ class TestQFormAndSupOverK:
         for graph, y0 in ((toy_graph, 15), (threestate_graph, 0)):
             res = solve_q_form(graph, y0)
             assert k_membership(graph, res.psi)
+
+
+def _certificate_oracle(graph, theta: float, q_form: bool) -> np.ndarray:
+    """Optimal values, one per start state, of the certificate program
+    (or, with q_form, of the q-form program) stated directly over free
+    (mu, psi, eta) and solved by HiGHS, independently of the measure
+    program and of lrac.simplex.
+
+    The programs of all start states go into one LP as independent blocks:
+    its objective is the sum of theirs, so each block of an optimum is
+    optimal for its own start.
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    block_diag = pytest.importorskip("scipy.sparse").block_diag
+    n, P = graph.n_states, graph.n_pairs
+    rows = np.arange(P)
+    # variables: mu (unused in the q-form), psi (n), eta (n); rows read <=.
+    # Pair rows: psi(y) - eta(f) + eta(y) <= k, the certificate program
+    # adding mu - psi(y0) on the left below.
+    base = np.zeros((2 * P, 1 + 2 * n))
+    np.add.at(base, (rows, 1 + graph.pair_state), 1.0)
+    np.add.at(base, (rows, 1 + n + graph.pair_succ), -1.0)
+    np.add.at(base, (rows, 1 + n + graph.pair_state), 1.0)
+    np.add.at(base, (P + rows, 1 + graph.pair_state), 1.0)  # psi(y) - psi(f) <= theta
+    np.add.at(base, (P + rows, 1 + graph.pair_succ), -1.0)
+    blocks, costs, value_at = [], [], []
+    for y0 in range(n):
+        A = base.copy()
+        c = np.zeros(1 + 2 * n)
+        if q_form:  # maximize psi(y0)
+            value_at.append(1 + y0)
+        else:  # maximize mu, with mu - psi(y0) on the left of each pair row
+            A[:P, 0] = 1.0
+            A[:P, 1 + y0] -= 1.0
+            value_at.append(0)
+        c[value_at[-1]] = -1.0
+        blocks.append(A)
+        costs.append(c)
+    b = np.concatenate([graph.pair_cost, np.full(P, theta)])
+    res = linprog(
+        np.concatenate(costs),
+        A_ub=block_diag(blocks, format="csr"),
+        b_ub=np.tile(b, n),
+        bounds=(None, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.x.reshape(n, 1 + 2 * n)[np.arange(n), value_at]
+
+
+class TestCertificateOracle:
+    """The certificate and q-form values read off the measure program's row
+    duals agree with the two programs solved directly by another solver."""
+
+    def _check(self, graph, theta):
+        tol = 1e-7 * (1.0 + graph.cost_bound)
+        d_ref = _certificate_oracle(graph, theta, q_form=False)
+        q_ref = _certificate_oracle(graph, theta, q_form=True)
+        for y0 in range(graph.n_states):
+            assert abs(solve_dual(graph, y0, theta).value - d_ref[y0]) <= tol
+            assert abs(solve_q_form(graph, y0, theta).value - q_ref[y0]) <= tol
+
+    def test_every_start_at_theta_zero(self, toy_graph, threestate_graph, random_graphs):
+        for graph in (toy_graph, threestate_graph, *random_graphs):
+            self._check(graph, 0.0)
+
+    def test_positive_theta(self, threestate_graph, random_graphs):
+        for graph in (threestate_graph, *random_graphs[:10]):
+            self._check(graph, 0.1)
+
+
+class TestCostScale:
+    """Scaling every cost by s scales d* by s, and the certificate stays
+    feasible to a tolerance relative to the scaled cost bound."""
+
+    @pytest.mark.parametrize("s", (1e3, 1e6, 1e9))
+    def test_dual_scales_with_costs(self, value_panel, s):
+        for entry in value_panel:
+            graph, M = entry["graph"], entry["M"]
+            scaled = dataclasses.replace(graph, pair_cost=graph.pair_cost * s)
+            M_s = scaled.cost_bound
+            for y0, row in enumerate(entry["rows"]):
+                res = solve_dual(scaled, y0)
+                assert abs(res.value - s * row["d"]) <= 1e-9 * s * (1.0 + M)
+                feas = certificate_residuals(scaled, y0, res.cert)
+                assert max(feas.values()) <= 1e-9 * (1.0 + M_s)
 
 
 class TestThetaFamily:

@@ -9,167 +9,24 @@ start, solved with an in-package simplex method, and minimum mean cycle
 analysis.  One solve of the measure program also yields its certificate
 dual from the row duals; that certificate is checked independently for
 feasibility and against the cycle value.
+
+The public names are those of each layer module's `__all__`, re-exported
+here.
 """
 
-from .problem import (
-    ControlProblem,
-    Graph,
-    ProblemFormatError,
-    ViabilityViolation,
-    build_graph,
-    load_problem,
-    problem_from_dict,
-    problem_to_dict,
-    save_problem,
-    snap_dynamics,
-)
-from .builtin import make_problem, random_problem, threestate_problem, toy_problem
-from .dp import (
-    InadmissibleAction,
-    NotPeriodic,
-    PeriodicProcess,
-    Trajectory,
-    ValueFunction,
-    average_cost,
-    greedy_policy,
-    rollout,
-    value_iteration_avg,
-    value_iteration_discounted,
-)
-from .simplex import IterationLimit, LinearProgram, LpSolution, kkt_residuals, solve
-from .measures import (
-    EmptySet,
-    FlowMeasure,
-    MetricBasis,
-    NoCycleDetected,
-    OccupationalMeasure,
-    basis_from_functions,
-    chebyshev_basis,
-    detect_cycle,
-    discounted_occupational_measure,
-    discounted_residual,
-    hausdorff,
-    measure_from_json,
-    measure_to_json,
-    membership_W,
-    membership_W_alpha,
-    occupational_measure,
-    pairing,
-    rho,
-    state_inflow,
-    state_marginal,
-    stationarity_residual,
-)
-from .programs import (
-    DualCertificate,
-    DualResult,
-    ErgodicInnerResult,
-    PrimalInfeasible,
-    PrimalPair,
-    PrimalResult,
-    ProjectionResult,
-    QFormResult,
-    VPerResult,
-    ergodic_inner_lp,
-    k_membership,
-    pair_from_process,
-    pair_residuals,
-    project_to_W,
-    reachable_states,
-    solve_dual,
-    solve_primal,
-    solve_q_form,
-    sup_over_K,
-    v_per,
-)
-from .optimality import (
-    InfeasibleCertificate,
-    NecessityReport,
-    certificate_residuals,
-    check_necessary_periodic,
-    check_sufficient,
-    cost_gap_identity,
-    extract_feedback,
-)
+from . import builtin, dp, measures, optimality, problem, programs, simplex
+from .problem import *  # noqa: F401,F403
+from .builtin import *  # noqa: F401,F403
+from .dp import *  # noqa: F401,F403
+from .simplex import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .programs import *  # noqa: F401,F403
+from .optimality import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ControlProblem",
-    "Graph",
-    "ProblemFormatError",
-    "ViabilityViolation",
-    "build_graph",
-    "load_problem",
-    "problem_from_dict",
-    "problem_to_dict",
-    "save_problem",
-    "snap_dynamics",
-    "make_problem",
-    "random_problem",
-    "threestate_problem",
-    "toy_problem",
-    "InadmissibleAction",
-    "NotPeriodic",
-    "PeriodicProcess",
-    "Trajectory",
-    "ValueFunction",
-    "average_cost",
-    "greedy_policy",
-    "rollout",
-    "value_iteration_avg",
-    "value_iteration_discounted",
-    "IterationLimit",
-    "LinearProgram",
-    "LpSolution",
-    "kkt_residuals",
-    "solve",
-    "EmptySet",
-    "FlowMeasure",
-    "MetricBasis",
-    "NoCycleDetected",
-    "OccupationalMeasure",
-    "basis_from_functions",
-    "chebyshev_basis",
-    "detect_cycle",
-    "discounted_occupational_measure",
-    "discounted_residual",
-    "hausdorff",
-    "measure_from_json",
-    "measure_to_json",
-    "membership_W",
-    "membership_W_alpha",
-    "occupational_measure",
-    "pairing",
-    "rho",
-    "state_inflow",
-    "state_marginal",
-    "stationarity_residual",
-    "DualCertificate",
-    "DualResult",
-    "ErgodicInnerResult",
-    "PrimalInfeasible",
-    "PrimalPair",
-    "PrimalResult",
-    "ProjectionResult",
-    "QFormResult",
-    "VPerResult",
-    "ergodic_inner_lp",
-    "k_membership",
-    "pair_from_process",
-    "pair_residuals",
-    "project_to_W",
-    "reachable_states",
-    "solve_dual",
-    "solve_primal",
-    "solve_q_form",
-    "sup_over_K",
-    "v_per",
-    "InfeasibleCertificate",
-    "NecessityReport",
-    "certificate_residuals",
-    "check_necessary_periodic",
-    "check_sufficient",
-    "cost_gap_identity",
-    "extract_feedback",
+    name
+    for layer in (problem, builtin, dp, simplex, measures, programs, optimality)
+    for name in layer.__all__
 ]

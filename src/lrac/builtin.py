@@ -10,6 +10,9 @@ from .problem import ControlProblem, snap_dynamics
 
 __all__ = ["toy_problem", "threestate_problem", "random_problem", "make_problem"]
 
+# Chance that a non-self-loop action of a random instance is admissible.
+EDGE_PROB = 0.7
+
 
 def toy_problem(half_points: int = 10) -> ControlProblem:
     """Sign-flip dynamics on a symmetric grid in [-1, 1].
@@ -52,14 +55,12 @@ def threestate_problem() -> ControlProblem:
     )
 
 
-def random_problem(
-    n_states: int, n_actions: int, seed: int, edge_prob: float = 0.7
-) -> ControlProblem:
+def random_problem(n_states: int, n_actions: int, seed: int) -> ControlProblem:
     """Seeded random instance with guaranteed viability.
 
     Action 0 is always a self-loop, so every state has an admissible action
     regardless of the draw.  Each remaining (state, action) is admissible
-    with probability edge_prob and then jumps to a uniform random state.
+    with probability EDGE_PROB and then jumps to a uniform random state.
     Costs are uniform on [0, 1]; state coordinates are uniform on [-1, 1].
     """
     if n_states < 1 or n_actions < 1:
@@ -69,7 +70,7 @@ def random_problem(
     succ = np.full((n_states, n_actions), -1, dtype=int)
     succ[:, 0] = np.arange(n_states)
     if n_actions > 1:
-        admissible = rng.random((n_states, n_actions - 1)) < edge_prob
+        admissible = rng.random((n_states, n_actions - 1)) < EDGE_PROB
         targets = rng.integers(0, n_states, size=(n_states, n_actions - 1))
         succ[:, 1:] = np.where(admissible, targets, -1)
     cost = np.where(succ >= 0, rng.uniform(0.0, 1.0, size=succ.shape), np.nan)

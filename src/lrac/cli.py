@@ -5,11 +5,14 @@ averages, discounted values, measure and certificate program values, the
 reachable minimum mean cycle, a feedback policy) and reports the bracket
 lower bound <= V_T <= perturbed upper bound per horizon.  The lower bound
 is d* - S_eta/T, the link the certificate proves at horizon T, with S_eta
-the largest rise of its eta potential from y0 to a reachable state.
+the largest rise of its eta potential from y0 to a reachable state; the
+upper bound is the measure program's value at transfer price 2M/T.
 sweep emits one CSV row per parameter point.  verify runs the internal
-consistency suite and exits nonzero on the first violated invariant.
+consistency suite, whose horizon row checks the same bracket as solve at
+T = 10 and 100, and exits nonzero if an invariant is violated.
 Each command solves the theta = 0 measure program once and reads k*, d*,
-the certificate and the q-form optimum off that one solve.
+the certificate and the q-form optimum off that one solve.  --out sends
+any command's report to a file instead of stdout.
 
 Exit codes: 0 success, 1 failed invariant or non-viable problem, 2 usage
 or schema errors, 3 a solver failed (simplex iteration limit, a program
@@ -111,23 +114,29 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _horizon_trajectory(graph, y0: int, policy: np.ndarray) -> Trajectory:
     """Unroll from y0 the horizon-T policy table of value_iteration_avg."""
-    T = policy.shape[0]
-    states = np.empty(T + 1, dtype=int)
-    pairs = np.empty(T, dtype=int)
+    pairs = np.empty(policy.shape[0], dtype=int)
     y = int(y0)
-    states[0] = y
-    for t in range(T):
-        g = int(policy[t, y])
-        pairs[t] = g
-        y = int(graph.pair_succ[g])
-        states[t + 1] = y
-    return Trajectory(
-        graph=graph,
-        states=states,
-        actions=graph.pair_action[pairs],
-        pairs=pairs,
-        costs=graph.pair_cost[pairs],
-    )
+    for t, row in enumerate(policy):
+        pairs[t] = row[y]
+        y = graph.pair_succ[pairs[t]]
+    return Trajectory.from_pairs(graph, pairs)
+
+
+def _chain(graph, y0: int, primal, horizons) -> list[tuple[int, float, float, float]]:
+    """(T, lower, V_T, upper) bracket rows, one per horizon.
+
+    lower = d* - S_eta/T is the link the certificate proves, with S_eta
+    the largest rise of its eta from y0 to a reachable state; upper is
+    the measure program's value at transfer price theta = 2M/T.
+    """
+    cert = primal.cert
+    eta_span = float(np.max(cert.eta[reachable_states(graph, y0)[0]]) - cert.eta[y0])
+    rows = []
+    for T in horizons:
+        vT = value_iteration_avg(graph, T)(y0)
+        upper = solve_primal(graph, y0, 2.0 * graph.cost_bound / T).value
+        rows.append((T, cert.mu - eta_span / T, vT, upper))
+    return rows
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -139,39 +148,30 @@ def cmd_solve(args: argparse.Namespace) -> int:
     T_list = _parse_ints(args.T)
     alpha_list = _parse_floats(args.alpha)
     theta_list = _parse_floats(args.theta)
-    M = graph.cost_bound
 
     primal = solve_primal(graph, y0)
     cert = primal.cert
     cycle = v_per(graph, y0)
-    eta = cert.eta
-    feedback = extract_feedback(graph, eta)
-    eta_span = float(np.max(eta[reachable_states(graph, y0)[0]]) - eta[y0])
-    chain = []
-    v_values = {}
-    for T in sorted(set(T_list)):
-        vT = value_iteration_avg(graph, T)(y0)
-        v_values[str(T)] = vT
-        upper = solve_primal(graph, y0, 2.0 * M / T).value
-        lower = cert.mu - eta_span / T
-        chain.append(
-            {
-                "T": T,
-                "lower": lower,
-                "V_T": vT,
-                "upper": upper,
-                "lower_ok": lower <= vT + 1e-7,
-                "upper_ok": vT <= upper + 1e-7,
-            }
-        )
+    feedback = extract_feedback(graph, cert.eta)
+    chain = [
+        {
+            "T": T,
+            "lower": lower,
+            "V_T": vT,
+            "upper": upper,
+            "lower_ok": lower <= vT + 1e-7,
+            "upper_ok": vT <= upper + 1e-7,
+        }
+        for T, lower, vT, upper in _chain(graph, y0, primal, sorted(set(T_list)))
+    ]
     result = {
         "problem": problem.name,
         "n_states": problem.n_states,
         "n_pairs": graph.n_pairs,
-        "cost_bound": M,
+        "cost_bound": graph.cost_bound,
         "y0": y0,
         "y0_state": [float(c) for c in problem.states[y0]],
-        "V_T": v_values,
+        "V_T": {str(r["T"]): r["V_T"] for r in chain},
         "h_alpha": {
             str(a): value_iteration_discounted(graph, a)(y0)
             for a in sorted(set(alpha_list))
@@ -249,22 +249,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results.append(("viability", True, "every state has an admissible action"))
     except ViabilityViolation as exc:
         results.append(("viability", False, f"ViabilityViolation: {exc}"))
-        _print_verify_table(results)
+        _emit(_verify_table(results), args.out)
         return 1
     y0 = args.y0
     if not 0 <= y0 < problem.n_states:
         raise ValueError(f"y0 must be a state index in [0, {problem.n_states})")
-    n, M = problem.n_states, graph.cost_bound
-    scale = 1.0 + M
+    n = problem.n_states
+    scale = 1.0 + graph.cost_bound
 
     primal = solve_primal(graph, y0)
-    dual = primal.as_dual()
+    cert = primal.cert
     q = primal.as_q_form()
     cycle = v_per(graph, y0)
     spread = max(
-        abs(primal.value - dual.value),
-        abs(cycle.value - dual.value),
-        abs(q.value - dual.value),
+        abs(primal.value - cert.mu),
+        abs(cycle.value - cert.mu),
+        abs(q.value - cert.mu),
     )
     results.append(
         ("value agreement", spread <= 1e-6 * scale, f"max spread {spread:.3e}")
@@ -272,10 +272,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     ok = True
     detail = []
-    for T in (10, 100):
-        vT = value_iteration_avg(graph, T)(y0)
-        upper = solve_primal(graph, y0, 2.0 * M / T).value
-        lower = dual.value - 2.0 * M * (n - 1) / T
+    for T, lower, vT, upper in _chain(graph, y0, primal, (10, 100)):
         ok = ok and (lower - 1e-7 <= vT <= upper + 1e-7)
         detail.append(f"T={T}: {lower:.6g} <= {vT:.6g} <= {upper:.6g}")
     results.append(("horizon bracketing", ok, "; ".join(detail)))
@@ -309,9 +306,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     )
 
-    feas = certificate_residuals(graph, y0, dual.cert)
+    feas = certificate_residuals(graph, y0, cert)
     worst = max(feas.values())
-    report = check_necessary_periodic(cycle.process, dual.cert, dual.value, y0)
+    report = check_necessary_periodic(cycle.process, cert, cert.mu, y0)
     ok = worst <= 1e-7 and not report.inconsistent
     results.append(
         (
@@ -329,19 +326,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     )
 
-    _print_verify_table(results)
+    text = _verify_table(results)
     failing = [name for name, ok, _ in results if not ok]
     if failing:
-        print(f"first failing invariant: {failing[0]}")
-        return 1
-    return 0
+        text += f"first failing invariant: {failing[0]}\n"
+    _emit(text, args.out)
+    return 1 if failing else 0
 
 
-def _print_verify_table(results: list[tuple[str, bool, str]]) -> None:
+def _verify_table(results: list[tuple[str, bool, str]]) -> str:
     width = max(len(name) for name, _, _ in results)
-    for name, ok, detail in results:
-        tag = "PASS" if ok else "FAIL"
-        print(f"{tag}  {name.ljust(width)}  {detail}")
+    return "".join(
+        f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {detail}\n"
+        for name, ok, detail in results
+    )
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -85,6 +85,20 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.pairs)
 
+    @classmethod
+    def from_pairs(cls, graph: Graph, pairs) -> Trajectory:
+        """The path that takes the given pairs in order; each pair is taken
+        to start where the previous one ends."""
+        pairs = np.asarray(pairs, dtype=int)
+        states = np.append(graph.pair_state[pairs], graph.pair_succ[pairs[-1:]])
+        return cls(
+            graph=graph,
+            states=states,
+            actions=graph.pair_action[pairs],
+            pairs=pairs,
+            costs=graph.pair_cost[pairs],
+        )
+
 
 def _check_chain(graph: Graph, pairs: np.ndarray, what: str) -> None:
     succ = graph.pair_succ[pairs[:-1]]
@@ -140,15 +154,7 @@ class PeriodicProcess:
         if n_periods < 1:
             raise ValueError("need at least one period")
         pairs = np.concatenate([self.prefix_pairs, np.tile(self.cycle_pairs, n_periods)])
-        g = self.graph
-        states = np.concatenate([g.pair_state[pairs], [g.pair_succ[pairs[-1]]]])
-        return Trajectory(
-            graph=g,
-            states=states,
-            actions=g.pair_action[pairs],
-            pairs=pairs,
-            costs=g.pair_cost[pairs],
-        )
+        return Trajectory.from_pairs(self.graph, pairs)
 
 
 def _segment_min(values: np.ndarray, graph: Graph) -> np.ndarray:
@@ -259,10 +265,8 @@ def rollout(graph: Graph, y0: int, policy: Policy, steps: int) -> Trajectory:
     if steps < 1:
         raise ValueError("need at least one step")
     pick = (lambda y: int(policy[y])) if isinstance(policy, np.ndarray) else policy
-    states = np.empty(steps + 1, dtype=int)
     pairs = np.empty(steps, dtype=int)
     y = int(y0)
-    states[0] = y
     for t in range(steps):
         u = int(pick(y))
         g = graph.pair_index(y, u)
@@ -272,14 +276,7 @@ def rollout(graph: Graph, y0: int, policy: Policy, steps: int) -> Trajectory:
             )
         pairs[t] = g
         y = int(graph.pair_succ[g])
-        states[t + 1] = y
-    return Trajectory(
-        graph=graph,
-        states=states,
-        actions=graph.pair_action[pairs],
-        pairs=pairs,
-        costs=graph.pair_cost[pairs],
-    )
+    return Trajectory.from_pairs(graph, pairs)
 
 
 def average_cost(traj: Trajectory) -> float:

@@ -140,16 +140,15 @@ def detect_cycle(pairs: np.ndarray) -> tuple[int, int]:
     )
 
 
-def discounted_occupational_measure(
-    traj: Trajectory, alpha: float, tail_tol: float = 1e-12
-) -> OccupationalMeasure:
+def discounted_occupational_measure(traj: Trajectory, alpha: float) -> OccupationalMeasure:
     """Discounted pair weights (1 - alpha) sum alpha^t of a trajectory.
 
     The recorded steps cover the start; beyond the record the trajectory is
     taken to repeat its detected cycle forever, so the tail is the exact
     geometric sum over the cycle.  For a trajectory that truly is eventually
-    periodic the result is exact; otherwise the extrapolation error is below
-    tail_tol once alpha^S / (1 - alpha) is.
+    periodic the result is exact.  Otherwise it differs from the true
+    measure only on the steps past the S recorded ones, which carry total
+    weight alpha^S; nothing here checks that this is small.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")

@@ -166,12 +166,6 @@ class DualResult:
     iterations: int
     residuals: dict[str, float]
 
-    def to_dict(self) -> dict:
-        out = {"value": float(self.value), "iterations": self.iterations}
-        out.update(self.cert.to_dict())
-        out["residuals"] = self.residuals
-        return out
-
 
 @dataclass(frozen=True)
 class QFormResult:
@@ -179,14 +173,6 @@ class QFormResult:
     psi: np.ndarray
     eta: np.ndarray
     iterations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "psi": [float(v) for v in self.psi],
-            "eta": [float(v) for v in self.eta],
-            "iterations": self.iterations,
-        }
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-9
+# Largest phase-1 artificial mass still read as feasible, and the reduced
+# cost a column must undercut to enter the basis.
+FEAS_TOL = 1e-9
+OPT_TOL = 1e-9
 
 
 class IterationLimit(RuntimeError):
@@ -122,12 +126,7 @@ class LpSolution:
     phase1_objective: float = 0.0
 
 
-def solve(
-    lp: LinearProgram,
-    feas_tol: float = 1e-9,
-    opt_tol: float = 1e-9,
-    max_iter: int | None = None,
-) -> LpSolution:
+def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     """Run two-phase primal simplex on a standard-form program."""
     m, n = lp.n_rows, lp.n_vars
     sense_sign = 1.0 if lp.sense == "min" else -1.0
@@ -182,7 +181,7 @@ def solve(
         best = Tb[m, -1]
         while True:
             zrow = Tb[m, : N + m]
-            candidates = allowed & (zrow < -opt_tol)
+            candidates = allowed & (zrow < -OPT_TOL)
             if not candidates.any():
                 return "optimal"
             if bland:
@@ -221,7 +220,7 @@ def solve(
     if status != "optimal":  # cannot happen: phase 1 is bounded below by zero
         raise RuntimeError("phase 1 reported unbounded")
     phase1_obj = -Tb[m, -1]
-    if phase1_obj > feas_tol:
+    if phase1_obj > FEAS_TOL:
         return LpSolution(
             status="infeasible",
             objective=None,

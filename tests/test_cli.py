@@ -279,6 +279,42 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_out_writes_file(self, capsys, tmp_path):
+        target = tmp_path / "verify.txt"
+        code, out = _run(
+            capsys,
+            ["verify", "--problem", "threestate", "--y0", "0", "--out", str(target)],
+        )
+        assert code == 0
+        assert out == ""
+        lines = target.read_text().splitlines()
+        assert len(lines) == 7
+        assert all(line.startswith("PASS  ") for line in lines)
+
+    def test_bracket_matches_solve_chain(self, capsys):
+        # V_T < d* on this instance, so the lower link is the certificate's
+        # d* - S_eta/T and not some coarser allowance
+        instance = [
+            "--problem", "random", "--states", "5", "--actions", "4",
+            "--seed", "2", "--y0", "1",
+        ]
+        code, out = _run(capsys, ["verify", *instance])
+        assert code == 0
+        row = next(l for l in out.splitlines() if "horizon bracketing" in l)
+        reported = {}
+        for part in row.split("horizon bracketing", 1)[1].strip().split("; "):
+            head, bounds = part.split(": ")
+            reported[int(head.removeprefix("T="))] = [
+                float(v) for v in bounds.split(" <= ")
+            ]
+        code, out = _run(capsys, ["solve", *instance, "--T", "10,100"])
+        assert code == 0
+        chain = json.loads(out)["chain"]
+        assert sorted(reported) == [r["T"] for r in chain] == [10, 100]
+        for r in chain:
+            expected = [r["lower"], r["V_T"], r["upper"]]
+            assert reported[r["T"]] == pytest.approx(expected, rel=1e-5)
+
     def test_broken_viability_exits_one(self, capsys, tmp_path):
         path = _broken_viability_file(tmp_path)
         code = main(["verify", "--problem", path, "--y0", "0"])

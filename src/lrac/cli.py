@@ -16,7 +16,8 @@ any command's report to a file instead of stdout.
 
 Exit codes: 0 success, 1 failed invariant or non-viable problem, 2 usage
 or schema errors, 3 a solver failed (simplex iteration limit, a program
-reported infeasible or unbounded, or a DP loop that did not converge).
+reported infeasible or unbounded, an inaccurate solution, or a DP loop
+that did not converge).
 """
 
 from __future__ import annotations
@@ -397,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # IterationLimit and PrimalInfeasible subclass it
+        # IterationLimit, InaccurateSolution and PrimalInfeasible subclass it
         print(f"solver failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

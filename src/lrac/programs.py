@@ -57,6 +57,7 @@ from .measures import (
     FlowMeasure,
     MetricBasis,
     OccupationalMeasure,
+    membership_W,
     state_inflow,
     state_marginal,
     stationarity_residual,
@@ -492,41 +493,45 @@ def project_to_W(measure: OccupationalMeasure, basis: MetricBasis) -> Projection
     """Distance from a measure to the stationary polytope, in the basis
     metric, together with a nearest stationary measure.
 
-    Linearized as a program over (gamma, per-function gaps e_j >= 0): each
-    pairing difference is boxed by e_j from both sides and the weighted sum
-    of gaps is minimized.
+    A measure that already passes membership_W (stationarity residual at
+    most 1e-9, the solver's feasibility tolerance) is its own nearest
+    point: distance 0, no program built, iterations 0.  Otherwise the
+    distance is the optimum of a program over (gamma, d+, d-) >= 0 with one
+    row per test function,
+
+        <f_j, gamma> - d+_j + d-_j = <f_j, measure>,
+
+    at cost sum_j w_j (d+_j + d-_j); since every w_j > 0 an optimum never
+    holds both parts of one gap, so it is the weighted sum of |gaps|.  The
+    program is highly degenerate and is solved with the lexicographic
+    ratio test, under which the simplex cannot cycle.  An optimal x that misses the
+    probability simplex by more than roundoff raises InaccurateSolution.
     """
+    if membership_W(measure):
+        return ProjectionResult(distance=0.0, nearest=measure, iterations=0)
     graph = measure.graph
     n, P = graph.n_states, graph.n_pairs
     J = basis.size
     marg, inflow = _incidence(graph)
-    target = basis.matrix @ measure.weights
-    n_vars = P + J + 2 * J  # gamma, gaps, two slack blocks
-    rows = 1 + n + 2 * J
-    A = np.zeros((rows, n_vars))
-    b = np.zeros(rows)
+    A = np.zeros((1 + n + J, P + 2 * J))  # columns gamma, d+, d-
     A[0, :P] = 1.0
-    b[0] = 1.0
     A[1 : n + 1, :P] = inflow - marg
-    base = n + 1
-    jj = np.arange(J)
-    A[base + jj, :P] = basis.matrix
-    A[base + jj, P + jj] = -1.0
-    A[base + jj, P + J + jj] = 1.0
-    b[base + jj] = target
-    base = n + 1 + J
-    A[base + jj, :P] = -basis.matrix
-    A[base + jj, P + jj] = -1.0
-    A[base + jj, P + 2 * J + jj] = 1.0
-    b[base + jj] = -target
-    c = np.zeros(n_vars)
-    c[P : P + J] = basis.weights
-    lp = simplex.LinearProgram(c=c, A=A, b=b)
-    sol = simplex.solve(lp)
+    A[n + 1 :, :P] = basis.matrix
+    A[n + 1 :, P : P + J] = -np.eye(J)
+    A[n + 1 :, P + J :] = np.eye(J)
+    b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ measure.weights])
+    c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
+    sol = simplex.solve(simplex.LinearProgram(c=c, A=A, b=b), lexicographic=True)
     if sol.status != "optimal":
         raise PrimalInfeasible(f"projection program returned {sol.status}")
+    gamma = sol.x[:P]
+    try:
+        nearest = OccupationalMeasure(graph=graph, weights=gamma)
+    except ValueError as exc:
+        worst = max(-float(gamma.min()), abs(float(gamma.sum()) - 1.0))
+        raise simplex.InaccurateSolution(
+            f"projection's nearest measure misses the simplex by {worst:.3g} ({exc})"
+        ) from None
     return ProjectionResult(
-        distance=float(sol.objective),
-        nearest=OccupationalMeasure(graph=graph, weights=sol.x[:P]),
-        iterations=sol.iterations,
+        distance=float(sol.objective), nearest=nearest, iterations=sol.iterations
     )

@@ -12,6 +12,18 @@ the degenerate, highly redundant systems built elsewhere in this package.
 Artificial columns stay in the tableau through phase two, blocked from
 entering; their reduced costs there are the negated row duals, which is
 how the dual vector is reported.
+
+A caller may ask for the lexicographic ratio test (Dantzig, Orden and
+Wolfe 1955) per call, solve(lp, lexicographic=True).  From the first
+pivot on, ties in the ratio test are then broken by the lexicographically
+smallest tied row of B^-1 divided by the pivot column, B^-1 being the
+artificial block of the tableau.  The rows of [b | B^-1] start
+lexicographically positive and, in exact arithmetic, the rule keeps them
+so, which rules out cycling on the highly degenerate projection program.  After each pivot of
+such a solve the right-hand side is clamped at zero, so a tie taken
+within tolerance cannot leave a basic variable at -1e-11.  The rule stays
+off by default: the other programs keep their pivot path, and with it the
+optimal vertex they report where several are optimal.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "IterationLimit",
+    "InaccurateSolution",
     "solve",
     "kkt_residuals",
 ]
@@ -38,6 +51,11 @@ OPT_TOL = 1e-9
 
 class IterationLimit(RuntimeError):
     """Raised when the pivot budget runs out; not expected on well-posed input."""
+
+
+class InaccurateSolution(RuntimeError):
+    """Raised when an "optimal" answer misses its own constraints by more
+    than roundoff, so it cannot be handed on as a solution."""
 
 
 @dataclass
@@ -126,8 +144,11 @@ class LpSolution:
     phase1_objective: float = 0.0
 
 
-def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
-    """Run two-phase primal simplex on a standard-form program."""
+def solve(
+    lp: LinearProgram, max_iter: int | None = None, *, lexicographic: bool = False
+) -> LpSolution:
+    """Run two-phase primal simplex on a standard-form program; with
+    lexicographic=True, ratio-test ties are broken lexicographically."""
     m, n = lp.n_rows, lp.n_vars
     sense_sign = 1.0 if lp.sense == "min" else -1.0
     c0 = sense_sign * lp.c
@@ -173,6 +194,8 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         col[i] = 0.0
         Tb[...] -= np.outer(col, Tb[i])
         basis[i] = j
+        if lexicographic:
+            np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
 
     def run_phase(allowed: np.ndarray) -> str:
         nonlocal iterations
@@ -195,7 +218,13 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
             ratios = np.where(eligible, Tb[:m, -1] / np.where(eligible, colvals, 1.0), np.inf)
             rmin = ratios.min()
             tied = np.flatnonzero(ratios <= rmin + 1e-12 + 1e-9 * abs(rmin))
-            i = int(tied[np.argmin(basis[tied])]) if tied.size > 1 else int(tied[0])
+            if tied.size == 1:
+                i = int(tied[0])
+            elif lexicographic:
+                R = Tb[tied, N : N + m] / colvals[tied, None]
+                i = int(tied[np.lexsort(R.T[::-1])[0]])
+            else:
+                i = int(tied[np.argmin(basis[tied])])
             pivot(i, j)
             iterations += 1
             if iterations > max_iter:

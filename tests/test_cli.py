@@ -395,13 +395,14 @@ class TestSimplexCalls:
             # that solve, perturbed primals at T = 10, 100, the membership LP
             (["verify", "--problem", "toy", "--y0", "15"], 4),
             (["verify", "--problem", "threestate", "--y0", "0"], 4),
-            # theta = 0 reuses the solve that gives d*; one projection per row
+            # theta = 0 reuses the solve that gives d*; theta rows' gamma is
+            # stationary, so no projection LP runs
             (
                 [
                     "sweep", "--problem", "threestate", "--y0", "0",
                     "--sweep", "theta", "--values", "0,0.05",
                 ],
-                4,
+                2,
             ),
         ],
     )
@@ -417,3 +418,51 @@ class TestSimplexCalls:
         code, _ = _run(capsys, argv)
         assert code == 0
         assert len(seen) == calls, seen
+
+
+_ALPHAS = "0.9,0.99,0.999"
+_THETAS = "0,0.05,0.1"
+
+
+class TestProjectionSweeps:
+    """Sweeps whose projection onto W used to fail: IterationLimit or
+    "phase 1 reported unbounded" on the degenerate projection program, or a
+    drifted nearest measure read as bad input.  theta rows and alpha rows
+    whose measure sits on a cycle are members of W; toy alpha from
+    y0 = 11, 12, 17 and the random T sweep run the program."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                f"--problem random --states 20 --seed {seed} --y0 0"
+                f" --sweep theta --values {_THETAS}"
+                for seed in range(6)
+            ),
+            f"--problem toy --y0 15 --sweep theta --values {_THETAS}",
+            *(
+                f"--problem toy --y0 {y0} --sweep alpha --values {_ALPHAS}"
+                for y0 in (1, 5, 10, 11, 12, 17)
+            ),
+            "--problem random --states 9 --seed 7 --y0 0 --sweep T --values 3,5,7,9",
+        ],
+    )
+    def test_sweep_projects(self, capsys, argv):
+        argv = ["sweep", *argv.split()]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "parameter,value,gap_to_dstar,distance_to_W"
+        assert len(lines) - 1 == len(argv[-1].split(","))
+        for line in lines[1:]:
+            assert float(line.split(",")[-1]) >= -1e-9
+
+    def test_drift_is_a_solver_failure(self, capsys):
+        code = main(
+            "sweep --problem random --states 30 --seed 1 --y0 1"
+            " --sweep T --values 4,16,64".split()
+        )
+        err = capsys.readouterr().err
+        assert code in (0, 3), err
+        if code == 3:
+            assert err.startswith("solver failed:"), err

@@ -8,26 +8,36 @@ import pytest
 
 from lrac import (
     ControlProblem,
+    InaccurateSolution,
     OccupationalMeasure,
     PeriodicProcess,
     build_graph,
     certificate_residuals,
     chebyshev_basis,
+    discounted_occupational_measure,
     ergodic_inner_lp,
+    greedy_policy,
     k_membership,
     measure_to_json,
+    membership_W,
+    occupational_measure,
     pair_from_process,
     pair_residuals,
     project_to_W,
+    random_problem,
     reachable_states,
     rho,
+    rollout,
     solve_dual,
     solve_primal,
     solve_q_form,
     sup_over_K,
     v_per,
     value_iteration_avg,
+    value_iteration_discounted,
 )
+from lrac import simplex
+from lrac.cli import _horizon_trajectory
 
 from conftest import CHAIN_HORIZONS, min_mean_cycle_brute
 
@@ -437,6 +447,39 @@ class TestMembershipCone:
         assert not k_membership(threestate_graph, w)
 
 
+def _sweep_measures(graph, y0):
+    """The discounted (alpha = 0.9) and horizon (T = 16) measures that
+    `lrac sweep` projects from y0."""
+    vf = value_iteration_discounted(graph, 0.9)
+    traj = rollout(graph, y0, greedy_policy(graph, vf), 3 * graph.n_states + 8)
+    yield discounted_occupational_measure(traj, 0.9)
+    _, policy = value_iteration_avg(graph, 16, want_policy=True)
+    yield occupational_measure(_horizon_trajectory(graph, y0, policy))
+
+
+def _box_distance(measure, basis):
+    """The projection program in its box form, |<f_j, gamma> - t_j| <= e_j
+    at cost <w, e>, solved by HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    graph = measure.graph
+    n, P, J = graph.n_states, graph.n_pairs, basis.size
+    marg = np.zeros((n, P))
+    inflow = np.zeros((n, P))
+    marg[graph.pair_state, np.arange(P)] = 1.0
+    inflow[graph.pair_succ, np.arange(P)] = 1.0
+    A_eq = np.zeros((1 + n, P + J))
+    A_eq[0, :P] = 1.0
+    A_eq[1:, :P] = inflow - marg
+    b_eq = np.concatenate([[1.0], np.zeros(n)])
+    target = basis.matrix @ measure.weights
+    A_ub = np.block([[basis.matrix, -np.eye(J)], [-basis.matrix, -np.eye(J)]])
+    b_ub = np.concatenate([target, -target])
+    c = np.concatenate([np.zeros(P), basis.weights])
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
 class TestProjection:
     def test_member_projects_to_itself(self, threestate_graph):
         w = np.zeros(5)
@@ -476,3 +519,54 @@ class TestProjection:
         m = OccupationalMeasure(graph=threestate_graph, weights=w)
         res = project_to_W(m, chebyshev_basis(threestate_graph, J=8))
         assert isinstance(measure_to_json(res.nearest), str)
+
+    def test_member_skips_the_program(self, threestate_graph, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a member needs no projection program")
+
+        monkeypatch.setattr(simplex, "solve", no_lp)
+        w = np.zeros(5)
+        w[[0, 2]] = 0.5
+        m = OccupationalMeasure(graph=threestate_graph, weights=w)
+        res = project_to_W(m, chebyshev_basis(threestate_graph, J=12))
+        assert res.iterations == 0
+        assert res.distance == 0.0
+        assert res.nearest is m
+
+    def test_drifted_solution_is_a_solver_failure(self, toy_graph, monkeypatch):
+        real = simplex.solve
+
+        def drift(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            sol.x[0] += 1e-6  # gamma now sums to 1 + 1e-6
+            return sol
+
+        monkeypatch.setattr(simplex, "solve", drift)
+        w = np.zeros(toy_graph.n_pairs)
+        w[30] = 1.0
+        point = OccupationalMeasure(graph=toy_graph, weights=w)
+        with pytest.raises(InaccurateSolution, match="1e-06"):
+            project_to_W(point, chebyshev_basis(toy_graph, J=24))
+        assert issubclass(InaccurateSolution, RuntimeError)
+
+    def test_distances_match_highs(self, toy_graph, threestate_graph):
+        """The split-gap program, solved with the lexicographic rule, against
+        HiGHS on the box form, over the alpha and T measures of `lrac sweep`
+        that lie off W."""
+        cases = [(toy_graph, y0) for y0 in range(toy_graph.n_states)]
+        cases += [(threestate_graph, y0) for y0 in range(3)]
+        for seed in range(4):
+            g = build_graph(random_problem(20, 3, seed))
+            cases += [(g, 0), (g, 1)]
+        checked = 0
+        for graph, y0 in cases:
+            basis = chebyshev_basis(graph)
+            for m in _sweep_measures(graph, y0):
+                if membership_W(m):
+                    continue
+                res = project_to_W(m, basis)
+                assert res.distance == pytest.approx(_box_distance(m, basis), abs=1e-8)
+                assert membership_W(res.nearest, 1e-8)
+                assert res.distance <= rho(m, res.nearest, basis) + 1e-8
+                checked += 1
+        assert checked >= 30, checked

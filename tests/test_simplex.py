@@ -4,7 +4,17 @@ degenerate cases, and status classification."""
 import numpy as np
 import pytest
 
-from lrac import IterationLimit, LinearProgram, LpSolution, kkt_residuals, solve
+from lrac import (
+    IterationLimit,
+    LinearProgram,
+    LpSolution,
+    build_graph,
+    chebyshev_basis,
+    kkt_residuals,
+    random_problem,
+    solve,
+    solve_primal,
+)
 
 
 def _assert_kkt(lp, sol, tol=1e-8):
@@ -236,3 +246,29 @@ class TestRandomPrograms:
         assert a.status == bsol.status == "optimal"
         assert np.array_equal(a.x, bsol.x)
         assert a.iterations == bsol.iterations
+
+
+class TestLexicographic:
+    def test_degenerate_projection_terminates(self):
+        # The split-gap projection program of a stationary gamma (the measure
+        # program's optimum on random n = 20, seed 2, from y0 = 0), stated
+        # directly: every gap is zero at the optimum, so the program is
+        # thoroughly degenerate.  With lowest-index tie breaking the solve
+        # runs into its iteration limit.
+        graph = build_graph(random_problem(20, 3, 2))
+        gamma = solve_primal(graph, 0).pair.gamma
+        basis = chebyshev_basis(graph)
+        n, P, J = graph.n_states, graph.n_pairs, basis.size
+        A = np.zeros((1 + n + J, P + 2 * J))
+        A[0, :P] = 1.0
+        np.add.at(A, (1 + graph.pair_succ, np.arange(P)), 1.0)
+        np.add.at(A, (1 + graph.pair_state, np.arange(P)), -1.0)
+        A[n + 1 :, :P] = basis.matrix
+        A[n + 1 :, P : P + J] = -np.eye(J)
+        A[n + 1 :, P + J :] = np.eye(J)
+        b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ gamma.weights])
+        c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
+        sol = solve(LinearProgram(c=c, A=A, b=b), lexicographic=True)
+        assert sol.status == "optimal"
+        assert sol.objective <= 1e-9
+        assert sol.x.min() >= 0.0

@@ -88,6 +88,13 @@ def _resolve_problem(args: argparse.Namespace) -> ControlProblem:
     return load_problem(args.problem)
 
 
+def _start_state(args: argparse.Namespace, problem: ControlProblem) -> int:
+    """args.y0, checked to be a state index of problem."""
+    if not 0 <= args.y0 < problem.n_states:
+        raise ValueError(f"y0 must be a state index in [0, {problem.n_states})")
+    return args.y0
+
+
 def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -143,9 +150,7 @@ def _chain(graph, y0: int, primal, horizons) -> list[tuple[int, float, float, fl
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
     graph = build_graph(problem)
-    y0 = args.y0
-    if not 0 <= y0 < problem.n_states:
-        raise ValueError(f"y0 must be a state index in [0, {problem.n_states})")
+    y0 = _start_state(args, problem)
     T_list = _parse_ints(args.T)
     alpha_list = _parse_floats(args.alpha)
     theta_list = _parse_floats(args.theta)
@@ -205,9 +210,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
     graph = build_graph(problem)
-    y0 = args.y0
-    if not 0 <= y0 < problem.n_states:
-        raise ValueError(f"y0 must be a state index in [0, {problem.n_states})")
+    y0 = _start_state(args, problem)
     base = solve_primal(graph, y0)
     d_star = base.cert.mu
     basis = chebyshev_basis(graph)
@@ -252,9 +255,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results.append(("viability", False, f"ViabilityViolation: {exc}"))
         _emit(_verify_table(results), args.out)
         return 1
-    y0 = args.y0
-    if not 0 <= y0 < problem.n_states:
-        raise ValueError(f"y0 must be a state index in [0, {problem.n_states})")
+    y0 = _start_state(args, problem)
     n = problem.n_states
     scale = 1.0 + graph.cost_bound
 

@@ -4,13 +4,14 @@ The finite-horizon recursion works on unnormalized sums S_T(y) = T * V_T(y),
 
     S_T(y) = min over admissible u of  k(y, u) + S_{T-1}(f(y, u)),   S_0 = 0,
 
-so V_T is exact up to float addition.  Discounted values solve the fixed
-point h(y) = min over u of (1 - alpha) k(y, u) + alpha h(f(y, u)) by Howard
-policy iteration: each stationary policy is evaluated exactly by one linear
-solve, and a state changes its pair only where another pair improves the
-one-step lookahead by more than tol * (1 - alpha).  The loop stops when no
-state does, so the Bellman residual is at most tol * (1 - alpha) and the
-sup-norm error at most tol.
+so V_T is exact up to float addition.  programs.v_per shares the recursion
+(_horizon_sums): it is Karp's table on the reversed graph.  Discounted
+values solve the fixed point h(y) = min over u of (1 - alpha) k(y, u) +
+alpha h(f(y, u)) by Howard policy iteration: each stationary policy is
+evaluated exactly by one linear solve, and a state changes its pair only
+where another pair improves the one-step lookahead by more than
+tol * (1 - alpha).  The loop stops when no state does, so the Bellman
+residual is at most tol * (1 - alpha) and the sup-norm error at most tol.
 """
 
 from __future__ import annotations
@@ -163,11 +164,21 @@ def _segment_min(values: np.ndarray, graph: Graph) -> np.ndarray:
 
 
 def _segment_argmin_pair(values: np.ndarray, per_state_min: np.ndarray, graph: Graph) -> np.ndarray:
-    """Lowest pair index achieving the per-state minimum (lowest action wins ties)."""
+    """Lowest pair achieving each per-state minimum, along the last axis."""
     counts = np.diff(graph.state_offset)
-    hit = values == np.repeat(per_state_min, counts)
+    hit = values == np.repeat(per_state_min, counts, axis=-1)
     candidates = np.where(hit, np.arange(graph.n_pairs), graph.n_pairs)
-    return np.minimum.reduceat(candidates, graph.state_offset[:-1])
+    return np.minimum.reduceat(candidates, graph.state_offset[:-1], axis=-1)
+
+
+def _horizon_sums(graph: Graph, T: int):
+    """Yield (totals, S_k) for k = 1..T: the pair-indexed lookahead
+    k(y, u) + S_{k-1}(f(y, u)) and its per-state minimum S_k."""
+    S = np.zeros(graph.n_states)
+    for _ in range(T):
+        totals = graph.pair_cost + S[graph.pair_succ]
+        S = _segment_min(totals, graph)
+        yield totals, S
 
 
 def value_iteration_avg(
@@ -181,11 +192,8 @@ def value_iteration_avg(
     """
     if T < 1:
         raise ValueError("horizon must be at least 1")
-    S = np.zeros(graph.n_states)
     policy = np.empty((T, graph.n_states), dtype=int) if want_policy else None
-    for remaining in range(1, T + 1):
-        totals = graph.pair_cost + S[graph.pair_succ]
-        S = _segment_min(totals, graph)
+    for remaining, (totals, S) in enumerate(_horizon_sums(graph, T), 1):
         if want_policy:
             policy[T - remaining] = _segment_argmin_pair(totals, S, graph)
     vf = ValueFunction(values=S / T, horizon=T, iterations=T)

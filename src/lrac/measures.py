@@ -356,10 +356,26 @@ def measure_to_json(measure: OccupationalMeasure | FlowMeasure) -> str:
 def measure_from_json(
     graph: Graph, text: str, kind: str = "occupational"
 ) -> OccupationalMeasure | FlowMeasure:
-    """Inverse of measure_to_json; kind is "occupational" or "flow"."""
-    data = json.loads(text)
+    """Inverse of measure_to_json; kind is "occupational" or "flow".  Raises
+    ValueError unless text is a JSON object mapping distinct pair indices,
+    written as measure_to_json writes them, to numbers."""
+    classes = {"occupational": OccupationalMeasure, "flow": FlowMeasure}
+    if kind not in classes:
+        raise ValueError(f"kind must be 'occupational' or 'flow', not {kind!r}")
+    data = json.loads(text, object_pairs_hook=_unique_keys)
+    if not isinstance(data, dict):
+        raise ValueError("a measure must be a JSON object of pair index to weight")
     weights = np.zeros(graph.n_pairs)
     for key, value in data.items():
-        weights[int(key)] = float(value)
-    cls = OccupationalMeasure if kind == "occupational" else FlowMeasure
-    return cls(graph=graph, weights=weights)
+        if not (key.isdecimal() and key == str(int(key)) and int(key) < graph.n_pairs):
+            raise ValueError(f"{key!r} is not a pair index in [0, {graph.n_pairs})")
+        if type(value) not in (int, float):
+            raise ValueError(f"weight of pair {key} must be a number")
+        weights[int(key)] = value
+    return classes[kind](graph=graph, weights=weights)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    if len({key for key, _ in pairs}) < len(pairs):
+        raise ValueError("a pair index appears twice")
+    return dict(pairs)

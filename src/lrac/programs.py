@@ -31,7 +31,7 @@ solve_primal builds a tableau; solve_dual and solve_q_form are views of
 its result.
 
 On a finite graph both optimal values agree with the minimum mean cost
-over cycles reachable from y0, computed here directly by Karp's method.
+over cycles reachable from y0, which v_per reads off dp's recursion.
 The q-form program is the dual with mu eliminated, maximizing psi(y0):
 
     maximize   psi(y0)
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import PeriodicProcess
+from .dp import PeriodicProcess, _horizon_sums, _segment_argmin_pair
 from .measures import (
     FlowMeasure,
     MetricBasis,
@@ -361,69 +361,40 @@ def reachable_states(graph: Graph, y0: int) -> tuple[np.ndarray, np.ndarray, np.
 def v_per(graph: Graph, y0: int) -> VPerResult:
     """Minimum mean cost over cycles reachable from y0, with a witness.
 
-    Karp's table over the reachable subgraph gives the optimal mean; the
-    witness cycle is recovered from the predecessor chain of the length-n
-    walk (every cycle inside such an extremal walk has the optimal mean),
-    and a shortest admissible path provides the prefix.  The returned value
-    is the exact mean of the witness cycle.
+    Karp's (1978) table on the reversed graph, from a source at every
+    state, is dp's finite-horizon recursion: row k holds S_k(v), the
+    cheapest k-step walk from v.  Walks from the N states reachable from
+    y0 stay among them, so the full-graph rows are exact there, finite by
+    viability, and Karp's theorem gives the optimal mean lam as the minimum
+    over reachable v of max_{0 <= k < N} (S_N(v) - S_k(v)) / (N - k).
+
+    The witness walks N steps along the argmin pairs (lowest on ties) from
+    the minimizing v.  Its N + 1 states repeat; cutting out the first cycle
+    C leaves an (N - |C|)-step walk from v, so cost(C) <= S_N(v) -
+    S_{N-|C|}(v) <= |C| lam and C is optimal (Chaturvedi & McConnell 2017).
+    A shortest admissible path provides the prefix.  The returned value is
+    the exact mean of the witness cycle.
     """
     reach, dist, pred_pair = reachable_states(graph, y0)
-    n_r = reach.size
-    local = {int(s): i for i, s in enumerate(reach)}
+    N = reach.size
+    S = np.zeros((N + 1, graph.n_states))
+    totals = np.empty((N, graph.n_pairs))
+    for k, (lookahead, S_k) in enumerate(_horizon_sums(graph, N)):
+        totals[k], S[k + 1] = lookahead, S_k
+    best_pair = _segment_argmin_pair(totals, S[1:], graph)  # row k - 1 for S_k
+    S = S[:, reach]
+    means = ((S[N] - S[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
+    best_val = float(means.min())
 
-    # Cheapest action per (source, target), first such pair winning ties.
-    edge_best: dict[tuple[int, int], int] = {}
-    for g in range(graph.n_pairs):
-        s = int(graph.pair_state[g])
-        if dist[s] < 0:
-            continue
-        key = (local[s], local[int(graph.pair_succ[g])])
-        if key not in edge_best or graph.pair_cost[g] < graph.pair_cost[edge_best[key]]:
-            edge_best[key] = g
-    edges = sorted(edge_best.items())  # ((u, v), pair), lexicographic
-
-    D = np.full((n_r + 1, n_r), np.inf)
-    pred = np.full((n_r + 1, n_r), -1, dtype=int)
-    D[0, local[int(y0)]] = 0.0
-    for k in range(1, n_r + 1):
-        for (u, v), g in edges:
-            cand = D[k - 1, u] + graph.pair_cost[g]
-            if cand < D[k, v]:
-                D[k, v] = cand
-                pred[k, v] = g
-
-    best_v = -1
-    best_val = np.inf
-    for v in range(n_r):
-        if not np.isfinite(D[n_r, v]):
-            continue
-        finite = np.flatnonzero(np.isfinite(D[:n_r, v]))
-        ratios = (D[n_r, v] - D[finite, v]) / (n_r - finite)
-        val = float(ratios.max())
-        if val < best_val:
-            best_val = val
-            best_v = v
-    if best_v < 0:  # cannot happen: some length-n_r walk exists under viability
-        raise RuntimeError("no cycle reachable; graph violates viability")
-
-    # Walk the predecessor chain of the extremal length-n_r walk and cut at
-    # the first repeated vertex.
-    verts = np.empty(n_r + 1, dtype=int)
-    walk_pairs = np.empty(n_r + 1, dtype=int)
-    verts[n_r] = best_v
-    for k in range(n_r, 0, -1):
-        g = int(pred[k, verts[k]])
-        walk_pairs[k] = g
-        verts[k - 1] = local[int(graph.pair_state[g])]
+    # Walk from the minimizing state; a state repeats within N steps.
     seen: dict[int, int] = {}
-    i = j = -1
-    for idx in range(n_r + 1):
-        v = int(verts[idx])
-        if v in seen:
-            i, j = seen[v], idx
-            break
-        seen[v] = idx
-    cycle = [int(walk_pairs[k]) for k in range(i + 1, j + 1)]
+    walk: list[int] = []
+    z = int(reach[np.argmin(means)])
+    while z not in seen:
+        seen[z] = len(walk)
+        walk.append(int(best_pair[N - 1 - len(walk), z]))
+        z = int(graph.pair_succ[walk[-1]])
+    cycle = walk[seen[z] :]
 
     # Rotate the cycle to start at its state closest to y0, then attach the
     # breadth-first prefix.

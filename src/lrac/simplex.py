@@ -19,11 +19,13 @@ pivot on, ties in the ratio test are then broken by the lexicographically
 smallest tied row of B^-1 divided by the pivot column, B^-1 being the
 artificial block of the tableau.  The rows of [b | B^-1] start
 lexicographically positive and, in exact arithmetic, the rule keeps them
-so, which rules out cycling on the highly degenerate projection program.  After each pivot of
-such a solve the right-hand side is clamped at zero, so a tie taken
-within tolerance cannot leave a basic variable at -1e-11.  The rule stays
-off by default: the other programs keep their pivot path, and with it the
-optimal vertex they report where several are optimal.
+so, which rules out cycling on the highly degenerate projection program.
+Tied pivots below 1e-6 of the largest tie only through roundoff and are
+passed over.  After each pivot of such a solve the right-hand side is
+clamped at zero, so a tie taken within tolerance cannot leave a basic
+variable at -1e-11.  The rule stays off by default: the other programs
+keep their pivot path, and with it the optimal vertex they report where
+several are optimal.
 """
 
 from __future__ import annotations
@@ -221,6 +223,7 @@ def solve(
             if tied.size == 1:
                 i = int(tied[0])
             elif lexicographic:
+                tied = tied[colvals[tied] >= 1e-6 * colvals[tied].max()]
                 R = Tb[tied, N : N + m] / colvals[tied, None]
                 i = int(tied[np.lexsort(R.T[::-1])[0]])
             else:

@@ -356,6 +356,30 @@ class TestSerialization:
         data = json.loads(measure_to_json(m))
         assert sorted(data.keys(), key=int) == [str(g) for g in range(5)]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"-1": 1.0}',  # would land on the last pair
+            '{"99": 1.0}',  # past the last pair
+            '{"0": 1.0, "00": 1.0}',  # one pair written twice
+            '{"0": 1.0, "0": 1.0}',
+            '{" 1": 1.0}',
+            '{"1.0": 1.0}',
+            '{"0": "1.0"}',
+            '{"0": true}',
+            '[1.0, 0, 0, 0, 0]',
+            '1.0',
+        ],
+    )
+    def test_rejects_malformed_input(self, threestate_graph, text):
+        with pytest.raises(ValueError):
+            measure_from_json(threestate_graph, text)
+
+    def test_rejects_unknown_kind(self, threestate_graph):
+        m = OccupationalMeasure(graph=threestate_graph, weights=np.ones(5) / 5)
+        with pytest.raises(ValueError, match="kind"):
+            measure_from_json(threestate_graph, measure_to_json(m), kind="flows")
+
 
 class TestPairing:
     def test_linear_in_measure(self, threestate_graph):

@@ -335,6 +335,32 @@ class TestCycleSolver:
                 proc = v_per(graph, y0).process
                 assert proc.start_state == y0
 
+    def test_matches_measure_program_at_scale(self):
+        for n in (60, 120):
+            for seed in (0, 1):
+                graph = build_graph(random_problem(n, 3, seed))
+                scale = 1.0 + graph.cost_bound
+                for y0 in (0, 1):
+                    assert abs(
+                        v_per(graph, y0).value - solve_primal(graph, y0).value
+                    ) <= 1e-7 * scale
+
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_tied_costs(self, levels):
+        # Integer costs from {0, ..., levels - 1}: many cycles share the
+        # optimal mean, so tie-breaking decides the witness.
+        for seed in range(24):
+            problem = random_problem(3 + seed % 6, 3, seed)
+            rng = np.random.default_rng(seed)
+            drawn = rng.integers(0, levels, size=problem.successor.shape)
+            cost = np.where(problem.successor >= 0, drawn.astype(float), np.nan)
+            graph = build_graph(dataclasses.replace(problem, cost=cost))
+            for y0 in range(graph.n_states):
+                res = v_per(graph, y0)
+                assert res.value == min_mean_cycle_brute(graph, y0)
+                assert res.process.mean_cycle_cost == res.value
+                assert res.process.start_state == y0
+
     def test_agrees_with_certificate_program(self, random_graphs):
         for graph in random_graphs[:20]:
             scale = 1.0 + graph.cost_bound

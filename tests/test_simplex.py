@@ -10,10 +10,14 @@ from lrac import (
     LpSolution,
     build_graph,
     chebyshev_basis,
+    discounted_occupational_measure,
+    greedy_policy,
     kkt_residuals,
     random_problem,
+    rollout,
     solve,
     solve_primal,
+    value_iteration_discounted,
 )
 
 
@@ -272,3 +276,35 @@ class TestLexicographic:
         assert sol.status == "optimal"
         assert sol.objective <= 1e-9
         assert sol.x.min() >= 0.0
+
+    def test_tiny_tied_pivot_is_skipped(self):
+        # The split-gap projection of the discounted measure that
+        # `lrac sweep --problem random --states 30 --seed 5 --y0 1 --sweep
+        # alpha` builds at alpha = 0.99.  Roundoff of 1e-17 in B^-1 once
+        # made the lexicographic rule pick a 1.5e-9 pivot among tied rows
+        # whose largest pivot was 2.9e5, and the "optimal" gamma then
+        # missed the probability simplex by 0.74.
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        graph = build_graph(random_problem(30, 3, 5))
+        y0, alpha = 1, 0.99
+        vf = value_iteration_discounted(graph, alpha)
+        steps = 3 * graph.n_states + 8
+        traj = rollout(graph, y0, greedy_policy(graph, vf), steps)
+        measure = discounted_occupational_measure(traj, alpha)
+        basis = chebyshev_basis(graph)
+        n, P, J = graph.n_states, graph.n_pairs, basis.size
+        A = np.zeros((1 + n + J, P + 2 * J))
+        A[0, :P] = 1.0
+        np.add.at(A, (1 + graph.pair_succ, np.arange(P)), 1.0)
+        np.add.at(A, (1 + graph.pair_state, np.arange(P)), -1.0)
+        A[n + 1 :, :P] = basis.matrix
+        A[n + 1 :, P : P + J] = -np.eye(J)
+        A[n + 1 :, P + J :] = np.eye(J)
+        b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ measure.weights])
+        c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
+        sol = solve(LinearProgram(c=c, A=A, b=b), lexicographic=True)
+        assert sol.status == "optimal"
+        assert abs(sol.x[:P].sum() - 1.0) <= 1e-9
+        ref = scipy_optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert abs(sol.objective - ref.fun) <= 1e-9

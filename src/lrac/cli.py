@@ -11,8 +11,10 @@ sweep emits one CSV row per parameter point.  verify runs the internal
 consistency suite, whose horizon row checks the same bracket as solve at
 T = 10 and 100, and exits nonzero if an invariant is violated.
 Each command solves the theta = 0 measure program once and reads k*, d*,
-the certificate and the q-form optimum off that one solve.  --out sends
-any command's report to a file instead of stdout.
+the certificate and the q-form optimum off that one solve; every theta > 0
+measure program starts from that solve's optimal basis, so the measure
+programs of one command share a single phase 1.  --out sends any
+command's report to a file instead of stdout.
 
 Exit codes: 0 success, 1 failed invariant or non-viable problem, 2 usage
 or schema errors, 3 a solver failed (simplex iteration limit, a program
@@ -135,14 +137,15 @@ def _chain(graph, y0: int, primal, horizons) -> list[tuple[int, float, float, fl
 
     lower = d* - S_eta/T is the link the certificate proves, with S_eta
     the largest rise of its eta from y0 to a reachable state; upper is
-    the measure program's value at transfer price theta = 2M/T.
+    the measure program's value at transfer price theta = 2M/T, solved
+    from the optimal basis of the theta = 0 result primal.
     """
     cert = primal.cert
     eta_span = float(np.max(cert.eta[reachable_states(graph, y0)[0]]) - cert.eta[y0])
     rows = []
     for T in horizons:
         vT = value_iteration_avg(graph, T)(y0)
-        upper = solve_primal(graph, y0, 2.0 * graph.cost_bound / T).value
+        upper = solve_primal(graph, y0, 2.0 * graph.cost_bound / T, start=primal).value
         rows.append((T, cert.mu - eta_span / T, vT, upper))
     return rows
 
@@ -184,7 +187,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         },
         "k_star": primal.value,
         "k_star_theta": {
-            str(t): (primal if t == 0.0 else solve_primal(graph, y0, t)).value
+            str(t): (primal if t == 0.0 else solve_primal(graph, y0, t, start=primal)).value
             for t in sorted(set(theta_list))
         },
         "d_star": cert.mu,
@@ -232,7 +235,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append([alpha, vf(y0), vf(y0) - d_star, dist])
     else:
         for theta in sorted(set(_parse_floats(args.values))):
-            res = base if theta == 0.0 else solve_primal(graph, y0, theta)
+            res = base if theta == 0.0 else solve_primal(graph, y0, theta, start=base)
             dist = project_to_W(res.pair.gamma, basis).distance
             rows.append([theta, res.value, res.value - d_star, dist])
     header = ["parameter", "value", "gap_to_dstar", "distance_to_W"]

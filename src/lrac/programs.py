@@ -20,15 +20,18 @@ potential corrections, psi nondecreasing along the dynamics up to theta:
 
 It is the LP dual of the measure program, so one simplex solve of the
 measure program yields both sides.  Its rows are, in order, the mass
-row, stationarity for z = 0..n-1, transfer for z = 0..n-1 and, at
-theta = 0, a cap on the flow mass; with y the row duals (b'y equal to
+row, stationarity for z = 0..n-1, transfer for z = 0..n-1 and a cap on
+the flow mass, kept at every theta; with y the row duals (b'y equal to
 the objective), the optimal certificate is
 
     mu = y[0],   eta = -y[1 : n+1],   psi = -y[n+1 : 2n+1],
 
 and the cap row's dual is zero because its slack stays basic.  Only
 solve_primal builds a tableau; solve_dual and solve_q_form are views of
-its result.
+its result.  With the cap row at every theta, the programs of one
+(graph, y0) differ only in the price on xi, so any optimal basis of one
+is a feasible starting basis for the others: solve_primal(..., start=r)
+re-solves from r's basis with phase 2 alone.
 
 On a finite graph both optimal values agree with the minimum mean cost
 over cycles reachable from y0, which v_per reads off dp's recursion.
@@ -129,6 +132,7 @@ class PrimalResult:
     residuals: dict[str, float]
     cert: DualCertificate
     y0: int
+    basis: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -214,27 +218,31 @@ def _incidence(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return marg, inflow
 
 
-def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
+def solve_primal(
+    graph: Graph, y0: int, theta: float = 0.0, start: PrimalResult | None = None
+) -> PrimalResult:
     """Minimum expected cost over stationary measures reachable from y0,
     the transfer flow priced at theta per unit.
 
-    At theta = 0 the flow is free, so an explicit cap
-    <1, xi> <= n_states * n_pairs (far above what any transfer needs)
-    keeps the feasible region bounded; the cap's dual multiplier is
-    reported and should be zero at any optimum.  The result also carries
-    the optimal certificate, read off the row duals (see the module
-    docstring).
+    A cap <1, xi> <= n_states * n_pairs (far above what any transfer
+    needs) keeps the feasible region bounded at theta = 0 and is kept at
+    every theta, so the constraints do not depend on theta; the cap's dual
+    multiplier is reported and should be zero at any optimum.  start, a
+    result for the same graph and y0 at any theta, makes the solve begin
+    at its optimal basis and skip phase 1.  The result also carries the
+    optimal certificate, read off the row duals (see the module docstring),
+    and its basis.  A gamma or xi that misses its sign or mass constraint
+    by more than roundoff raises simplex.InaccurateSolution.
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
+    if start is not None and (start.y0 != y0 or start.pair.gamma.graph is not graph):
+        raise ValueError("start must be a measure-program result for the same graph and y0")
     n, P = graph.n_states, graph.n_pairs
     marg, inflow = _incidence(graph)
-    capped = theta == 0.0
-    n_vars = 2 * P + (1 if capped else 0)
-    rows = 1 + 2 * n + (1 if capped else 0)
-    A = np.zeros((rows, n_vars))
-    b = np.zeros(rows)
-    c = np.zeros(n_vars)
+    A = np.zeros((2 * n + 2, 2 * P + 1))  # columns gamma, xi, cap slack
+    b = np.zeros(2 * n + 2)
+    c = np.zeros(2 * P + 1)
     c[:P] = graph.pair_cost
     c[P : 2 * P] = theta
     A[0, :P] = 1.0
@@ -243,28 +251,33 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
     A[n + 1 : 2 * n + 1, :P] = -marg
     A[n + 1 + y0, :P] += 1.0  # [z = y0] enters through the total mass of gamma
     A[n + 1 : 2 * n + 1, P : 2 * P] = inflow - marg
-    if capped:
-        A[2 * n + 1, P : 2 * P] = 1.0
-        A[2 * n + 1, 2 * P] = 1.0
-        b[2 * n + 1] = float(n * P)
+    A[2 * n + 1, P:] = 1.0
+    b[2 * n + 1] = float(n * P)
     lp = simplex.LinearProgram(c=c, A=A, b=b)
-    sol = simplex.solve(lp)
+    sol = simplex.solve(lp, basis=None if start is None else start.basis)
     if sol.status != "optimal":
         raise PrimalInfeasible(
             f"measure program for y0={y0}, theta={theta} returned {sol.status}"
         )
-    gamma = OccupationalMeasure(graph=graph, weights=sol.x[:P])
-    xi = FlowMeasure(graph=graph, weights=sol.x[P : 2 * P])
+    try:
+        gamma = OccupationalMeasure(graph=graph, weights=sol.x[:P])
+        xi = FlowMeasure(graph=graph, weights=sol.x[P : 2 * P])
+    except ValueError as exc:
+        worst = max(-float(sol.x.min()), abs(float(sol.x[:P].sum()) - 1.0))
+        raise simplex.InaccurateSolution(
+            f"measure program's (gamma, xi) misses its constraints by {worst:.3g} ({exc})"
+        ) from None
     y = sol.y
     cert = DualCertificate(mu=float(y[0]), psi=-y[n + 1 : 2 * n + 1], eta=-y[1 : n + 1])
     return PrimalResult(
         value=float(sol.objective),
         pair=PrimalPair(gamma=gamma, xi=xi),
-        cap_dual=float(y[2 * n + 1]) if capped else 0.0,
+        cap_dual=float(y[2 * n + 1]),
         iterations=sol.iterations,
         residuals=simplex.kkt_residuals(lp, sol),
         cert=cert,
         y0=int(y0),
+        basis=sol.basis,
     )
 
 

@@ -26,6 +26,18 @@ clamped at zero, so a tie taken within tolerance cannot leave a basic
 variable at -1e-11.  The rule stays off by default: the other programs
 keep their pivot path, and with it the optimal vertex they report where
 several are optimal.
+
+A caller may also hand solve a starting basis, solve(lp, basis=...),
+typically LpSolution.basis of an earlier solve.  That basis lives in the
+solver's internal column space: the split variables (each free variable
+as its positive then its negative part), then one artificial per row.  It
+round-trips only into a program with the same A, b and free mask, where
+it is primal feasible whatever c is; this is how a family of programs
+that differ only in c is re-solved (Gass and Saaty 1955).  The tableau is
+brought to that basis by one linear solve, a basic value below -FEAS_TOL
+raises InaccurateSolution, phase 1 and the drive-out of artificials are
+skipped, and phase 2 runs as usual.  After each pivot of such a solve the
+right-hand side is clamped at zero, as under the lexicographic rule.
 """
 
 from __future__ import annotations
@@ -135,7 +147,11 @@ class LpSolution:
     """Solver outcome: status is "optimal", "infeasible" or "unbounded".
 
     x and y (row duals, stated for the program as given, so b'y equals the
-    objective at optimality for either sense) are None unless optimal.
+    objective at optimality for either sense) are None unless optimal, and
+    so is basis, the final basis in the solver's internal column space
+    (see the module docstring).  iterations counts every pivot;
+    phase1_iterations those of phase 1 and the drive-out of artificials,
+    0 on a solve from a starting basis.
     """
 
     status: str
@@ -144,13 +160,20 @@ class LpSolution:
     y: np.ndarray | None
     iterations: int
     phase1_objective: float = 0.0
+    phase1_iterations: int = 0
+    basis: np.ndarray | None = None
 
 
 def solve(
-    lp: LinearProgram, max_iter: int | None = None, *, lexicographic: bool = False
+    lp: LinearProgram,
+    max_iter: int | None = None,
+    *,
+    lexicographic: bool = False,
+    basis: np.ndarray | None = None,
 ) -> LpSolution:
     """Run two-phase primal simplex on a standard-form program; with
-    lexicographic=True, ratio-test ties are broken lexicographically."""
+    lexicographic=True, ratio-test ties are broken lexicographically; with
+    a starting basis, only phase 2 runs, from that basis."""
     m, n = lp.n_rows, lp.n_vars
     sense_sign = 1.0 if lp.sense == "min" else -1.0
     c0 = sense_sign * lp.c
@@ -180,7 +203,20 @@ def solve(
     Tb[:m, :N] = A
     Tb[:m, N : N + m] = np.eye(m)
     Tb[:m, -1] = b
-    basis = np.arange(N, N + m)
+    warm = basis is not None
+    if warm:
+        basis = np.array(basis, dtype=int)
+        if basis.shape != (m,):
+            raise ValueError(f"a starting basis needs {m} columns, got {basis.shape}")
+        Tb[:m] = np.linalg.solve(Tb[:m, basis], Tb[:m])
+        worst = float(Tb[:m, -1].min(initial=0.0))
+        if worst < -FEAS_TOL:
+            raise InaccurateSolution(
+                f"starting basis is not primal feasible: basic value {worst:.3g}"
+            )
+        np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
+    else:
+        basis = np.arange(N, N + m)
     iterations = 0
     if max_iter is None:
         max_iter = 2000 + 200 * m + 20 * N
@@ -196,7 +232,7 @@ def solve(
         col[i] = 0.0
         Tb[...] -= np.outer(col, Tb[i])
         basis[i] = j
-        if lexicographic:
+        if lexicographic or warm:
             np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
 
     def run_phase(allowed: np.ndarray) -> str:
@@ -244,33 +280,37 @@ def solve(
                 if not bland and stall >= 2 * max(m, 1):
                     bland = True
 
-    # Phase 1: minimize the artificial mass.
-    phase1_cost = np.concatenate([np.zeros(N), np.ones(m)])
-    install_objective(phase1_cost)
-    allowed = np.ones(N + m, dtype=bool)
-    status = run_phase(allowed)
-    if status != "optimal":  # cannot happen: phase 1 is bounded below by zero
-        raise RuntimeError("phase 1 reported unbounded")
-    phase1_obj = -Tb[m, -1]
-    if phase1_obj > FEAS_TOL:
-        return LpSolution(
-            status="infeasible",
-            objective=None,
-            x=None,
-            y=None,
-            iterations=iterations,
-            phase1_objective=phase1_obj,
-        )
+    phase1_obj = 0.0
+    if not warm:
+        # Phase 1: minimize the artificial mass.
+        phase1_cost = np.concatenate([np.zeros(N), np.ones(m)])
+        install_objective(phase1_cost)
+        allowed = np.ones(N + m, dtype=bool)
+        status = run_phase(allowed)
+        if status != "optimal":  # cannot happen: phase 1 is bounded below by zero
+            raise RuntimeError("phase 1 reported unbounded")
+        phase1_obj = -Tb[m, -1]
+        if phase1_obj > FEAS_TOL:
+            return LpSolution(
+                status="infeasible",
+                objective=None,
+                x=None,
+                y=None,
+                iterations=iterations,
+                phase1_objective=phase1_obj,
+                phase1_iterations=iterations,
+            )
 
-    # Drive artificials out of the basis where a usable pivot exists; rows
-    # that offer none are redundant and keep a zero-level artificial.
-    for i in range(m):
-        if basis[i] >= N:
-            entries = np.abs(Tb[i, :N])
-            j = int(np.argmax(entries))
-            if entries[j] > 1e-8:
-                pivot(i, j)
-                iterations += 1
+        # Drive artificials out of the basis where a usable pivot exists;
+        # rows that offer none are redundant and keep a zero-level artificial.
+        for i in range(m):
+            if basis[i] >= N:
+                entries = np.abs(Tb[i, :N])
+                j = int(np.argmax(entries))
+                if entries[j] > 1e-8:
+                    pivot(i, j)
+                    iterations += 1
+    phase1_iterations = iterations
 
     # Phase 2 on the true objective, artificials barred from entering.
     phase2_cost = np.concatenate([c, np.zeros(m)])
@@ -285,6 +325,7 @@ def solve(
             y=None,
             iterations=iterations,
             phase1_objective=phase1_obj,
+            phase1_iterations=phase1_iterations,
         )
 
     x_ext = np.zeros(N + m)
@@ -301,6 +342,8 @@ def solve(
         y=y,
         iterations=iterations,
         phase1_objective=phase1_obj,
+        phase1_iterations=phase1_iterations,
+        basis=basis,
     )
 
 

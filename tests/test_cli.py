@@ -359,6 +359,20 @@ class TestExitCodes:
         )
 
 
+    def test_measure_roundoff_exits_three(self, capsys, monkeypatch):
+        real = lrac.simplex.solve
+
+        def drift(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            sol.x[(lp.n_vars - 1) // 2] = -1e-9  # the measure program's first xi weight
+            return sol
+
+        monkeypatch.setattr(lrac.simplex, "solve", drift)
+        assert main(["solve", "--problem", "threestate", "--y0", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failed: InaccurateSolution:"), err
+
+
 class TestDeterminism:
     def test_solve_byte_identical(self, capsys):
         argv = ["solve", "--problem", "toy", "--y0", "15", "--theta", "0.25"]
@@ -418,6 +432,54 @@ class TestSimplexCalls:
         code, _ = _run(capsys, argv)
         assert code == 0
         assert len(seen) == calls, seen
+
+
+class TestWarmStarts:
+    """Every theta > 0 measure program of a command starts from the theta = 0
+    optimal basis and skips phase 1.  verify's membership LP is another
+    program, solved cold; it is told apart by its shape."""
+
+    @pytest.mark.parametrize(
+        "argv, warm",
+        [
+            (["solve", "--problem", "toy", "--y0", "15", "--theta", "0.25"], 4),
+            (["verify", "--problem", "toy", "--y0", "15"], 2),
+            (["verify", "--problem", "threestate", "--y0", "0"], 2),
+            (
+                [
+                    "sweep", "--problem", "threestate", "--y0", "0",
+                    "--sweep", "theta", "--values", "0,0.05,0.1",
+                ],
+                2,
+            ),
+        ],
+    )
+    def test_one_phase_one(self, capsys, monkeypatch, argv, warm):
+        real = lrac.simplex.solve
+        seen = []
+
+        def recording(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            seen.append((lp.A.shape, kwargs.get("basis") is not None, sol.phase1_iterations))
+            return sol
+
+        monkeypatch.setattr(lrac.simplex, "solve", recording)
+        code, _ = _run(capsys, argv)
+        assert code == 0
+        (shape, first_warm, first_phase1), rest = seen[0], seen[1:]
+        assert not first_warm and first_phase1 > 0
+        measure = [(w, p1) for s, w, p1 in rest if s == shape]
+        assert measure == [(True, 0)] * warm, seen
+
+    def test_clamp_keeps_xi_nonnegative(self, capsys):
+        # Without the rhs clamp after each warm pivot, the T = 10 measure
+        # program here ends with an xi weight of -3.17e-12, a solver failure.
+        code, out = _run(
+            capsys, ["verify", "--problem", "random", "--states", "40", "--seed", "2", "--y0", "0"]
+        )
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == 7 and all(r.startswith("PASS") for r in rows), out
 
 
 _ALPHAS = "0.9,0.99,0.999"

@@ -261,6 +261,55 @@ class TestThetaFamily:
                 assert uppers[-1] >= row["k"] - 1e-8
 
 
+class TestWarmFamily:
+    """theta > 0 measure programs solved from the theta = 0 optimal basis,
+    against the same programs solved cold."""
+
+    @staticmethod
+    def _check(graph, y0):
+        base = solve_primal(graph, y0)
+        M = graph.cost_bound
+        for theta in [2.0 * M / T for T in (4, 16, 64, 4096)] + [0.1]:
+            warm = solve_primal(graph, y0, theta, start=base)
+            cold = solve_primal(graph, y0, theta)
+            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + M), (y0, theta)
+            r = pair_residuals(warm.pair, y0)
+            assert max(r.values()) <= 1e-9
+
+    def test_toy_every_start(self, toy_graph):
+        for y0 in range(toy_graph.n_states):
+            self._check(toy_graph, y0)
+
+    def test_threestate_every_start(self, threestate_graph):
+        for y0 in range(3):
+            self._check(threestate_graph, y0)
+
+    def test_random_graphs(self, random_graphs):
+        for graph in random_graphs:
+            for y0 in sorted({0, graph.n_states - 1}):
+                self._check(graph, y0)
+
+    def test_start_from_another_program_rejected(self, toy_graph, threestate_graph):
+        base = solve_primal(toy_graph, 15)
+        with pytest.raises(ValueError, match="same graph and y0"):
+            solve_primal(toy_graph, 14, 0.1, start=base)
+        with pytest.raises(ValueError, match="same graph and y0"):
+            solve_primal(threestate_graph, 0, 0.1, start=solve_primal(toy_graph, 0))
+
+    def test_roundoff_in_measure_is_a_solver_failure(self, threestate_graph, monkeypatch):
+        real = simplex.solve
+        P = threestate_graph.n_pairs
+
+        def drift(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            sol.x[P] = -1e-9  # the first xi weight
+            return sol
+
+        monkeypatch.setattr(simplex, "solve", drift)
+        with pytest.raises(InaccurateSolution, match="1e-09"):
+            solve_primal(threestate_graph, 0)
+
+
 class TestBracketing:
     def test_horizon_value_below_perturbed_primal(self, value_panel):
         for entry in value_panel:

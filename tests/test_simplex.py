@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lrac import (
+    InaccurateSolution,
     IterationLimit,
     LinearProgram,
     LpSolution,
@@ -308,3 +309,46 @@ class TestLexicographic:
         ref = scipy_optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert ref.status == 0
         assert abs(sol.objective - ref.fun) <= 1e-9
+
+
+class TestStartingBasis:
+    def test_own_optimal_basis_takes_no_pivots(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            lp = _random_bounded_lp(rng)
+            cold = solve(lp)
+            warm = solve(lp, basis=cold.basis)
+            assert warm.status == "optimal"
+            assert warm.iterations == warm.phase1_iterations == 0
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert np.allclose(warm.y, cold.y, atol=1e-9)
+
+    def test_new_costs_match_cold_and_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            lp = _random_bounded_lp(rng)
+            start = solve(lp).basis
+            moved = LinearProgram(
+                c=rng.uniform(0.0, 1.0, size=lp.n_vars), A=lp.A, b=lp.b, sense=lp.sense
+            )
+            warm = solve(moved, basis=start)
+            cold = solve(moved)
+            assert warm.status == cold.status == "optimal"
+            assert warm.phase1_iterations == 0
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            sign = 1.0 if moved.sense == "min" else -1.0
+            ref = linprog(
+                sign * moved.c, A_eq=moved.A, b_eq=moved.b, bounds=(0, None), method="highs"
+            )
+            assert ref.status == 0
+            assert warm.objective == pytest.approx(sign * ref.fun, abs=1e-9)
+            _assert_kkt(moved, warm)
+
+    def test_infeasible_basis_raises(self):
+        # x + y + s1 = 4, y + s2 = 3: the basis (y, s2) puts y = 4, s2 = -1
+        A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        lp = LinearProgram(c=np.array([-1.0, -2.0, 0.0, 0.0]), A=A, b=np.array([4.0, 3.0]))
+        with pytest.raises(InaccurateSolution, match="not primal feasible"):
+            solve(lp, basis=np.array([1, 3]))
+        assert solve(lp, basis=np.array([0, 1])).objective == pytest.approx(-7.0)

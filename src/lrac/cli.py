@@ -9,7 +9,9 @@ the largest rise of its eta potential from y0 to a reachable state; the
 upper bound is the measure program's value at transfer price 2M/T.
 sweep emits one CSV row per parameter point.  verify runs the internal
 consistency suite, whose horizon row checks the same bracket as solve at
-T = 10 and 100, and exits nonzero if an invariant is violated.
+T = 10 and 100, and exits nonzero if an invariant is violated; its
+certificate class row tests the q-form psi with k_membership, a minimum
+mean cycle over the whole graph that solves no LP.
 Each command solves the theta = 0 measure program once and reads k*, d*,
 the certificate and the q-form optimum off that one solve; every theta > 0
 measure program starts from that solve's optimal basis, so the measure

@@ -45,13 +45,15 @@ Its optimum is the certificate shifted, psi + (mu - psi(y0)) with the
 same eta, and its value is mu, for every theta >= 0.  At theta = 0 that
 value is the largest w(y0) over functions w nondecreasing along the
 dynamics whose expected slack k - w is nonnegative on every stationary
-measure, the test implemented by k_membership.
+measure, the test implemented by k_membership.  Stationary measures are
+the convex hull of uniform measures on simple cycles, so ergodic_inner_lp
+reads that test's inner minimum off v_per's recursion, over every state.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,7 +186,6 @@ class QFormResult:
 class ErgodicInnerResult:
     value: float
     gamma: OccupationalMeasure
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -233,18 +234,23 @@ def solve_primal(
     optimal certificate, read off the row duals (see the module docstring),
     and its basis.  A gamma or xi that misses its sign or mass constraint
     by more than roundoff raises simplex.InaccurateSolution.
+
+    The simplex prices c / M, M = graph.cost_bound (1 when every cost is 0),
+    so its tolerances do not depend on the unit of cost; the value and the
+    row duals are multiplied back by M, and residuals are relative to M.
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     if start is not None and (start.y0 != y0 or start.pair.gamma.graph is not graph):
         raise ValueError("start must be a measure-program result for the same graph and y0")
     n, P = graph.n_states, graph.n_pairs
+    M = graph.cost_bound or 1.0
     marg, inflow = _incidence(graph)
     A = np.zeros((2 * n + 2, 2 * P + 1))  # columns gamma, xi, cap slack
     b = np.zeros(2 * n + 2)
     c = np.zeros(2 * P + 1)
-    c[:P] = graph.pair_cost
-    c[P : 2 * P] = theta
+    c[:P] = graph.pair_cost / M
+    c[P : 2 * P] = theta / M
     A[0, :P] = 1.0
     b[0] = 1.0
     A[1 : n + 1, :P] = inflow - marg
@@ -267,10 +273,10 @@ def solve_primal(
         raise simplex.InaccurateSolution(
             f"measure program's (gamma, xi) misses its constraints by {worst:.3g} ({exc})"
         ) from None
-    y = sol.y
+    y = sol.y * M
     cert = DualCertificate(mu=float(y[0]), psi=-y[n + 1 : 2 * n + 1], eta=-y[1 : n + 1])
     return PrimalResult(
-        value=float(sol.objective),
+        value=float(sol.objective) * M,
         pair=PrimalPair(gamma=gamma, xi=xi),
         cap_dual=float(y[2 * n + 1]),
         iterations=sol.iterations,
@@ -309,28 +315,17 @@ def sup_over_K(graph: Graph, y0: int) -> float:
 def ergodic_inner_lp(graph: Graph, w) -> ErgodicInnerResult:
     """Minimum of <k - w, gamma> over stationary probability measures.
 
-    w may be a per-state array or a value function carrying one.
+    It is the minimum mean cycle of k - w over the whole graph, attained by
+    the uniform measure on that cycle.  w may be a per-state array or a
+    value function carrying one.
     """
     w = np.asarray(getattr(w, "values", w), dtype=float)
     if w.shape != (graph.n_states,):
         raise ValueError("w must assign a value to every state")
-    n, P = graph.n_states, graph.n_pairs
-    marg, inflow = _incidence(graph)
-    A = np.zeros((1 + n, P))
-    A[0] = 1.0
-    A[1:] = inflow - marg
-    b = np.zeros(1 + n)
-    b[0] = 1.0
-    c = graph.pair_cost - w[graph.pair_state]
-    lp = simplex.LinearProgram(c=c, A=A, b=b)
-    sol = simplex.solve(lp)
-    if sol.status != "optimal":
-        raise PrimalInfeasible(f"stationary-measure program returned {sol.status}")
-    return ErgodicInnerResult(
-        value=float(sol.objective),
-        gamma=OccupationalMeasure(graph=graph, weights=sol.x),
-        iterations=sol.iterations,
-    )
+    slack = replace(graph, pair_cost=graph.pair_cost - w[graph.pair_state])
+    cycle, value = _min_mean_cycle(slack, np.arange(graph.n_states))
+    weights = np.bincount(cycle, minlength=graph.n_pairs) / len(cycle)
+    return ErgodicInnerResult(value=value, gamma=OccupationalMeasure(graph=graph, weights=weights))
 
 
 def k_membership(graph: Graph, w, tol: float = 1e-7) -> bool:
@@ -371,43 +366,57 @@ def reachable_states(graph: Graph, y0: int) -> tuple[np.ndarray, np.ndarray, np.
     return np.flatnonzero(dist >= 0), dist, pred_pair
 
 
-def v_per(graph: Graph, y0: int) -> VPerResult:
-    """Minimum mean cost over cycles reachable from y0, with a witness.
+def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float]:
+    """An optimal cycle among a closed set of states, and its exact mean.
 
     Karp's (1978) table on the reversed graph, from a source at every
     state, is dp's finite-horizon recursion: row k holds S_k(v), the
-    cheapest k-step walk from v.  Walks from the N states reachable from
-    y0 stay among them, so the full-graph rows are exact there, finite by
-    viability, and Karp's theorem gives the optimal mean lam as the minimum
-    over reachable v of max_{0 <= k < N} (S_N(v) - S_k(v)) / (N - k).
+    cheapest k-step walk from v.  Walks from the N given states stay among
+    them, so the full-graph rows are exact there, finite by viability, and
+    Karp's theorem gives the optimal mean lam as the minimum over given v
+    of max_{0 <= k < N} (S_N(v) - S_k(v)) / (N - k).
 
-    The witness walks N steps along the argmin pairs (lowest on ties) from
+    The cycle walks N steps along the argmin pairs (lowest on ties) from
     the minimizing v.  Its N + 1 states repeat; cutting out the first cycle
     C leaves an (N - |C|)-step walk from v, so cost(C) <= S_N(v) -
     S_{N-|C|}(v) <= |C| lam and C is optimal (Chaturvedi & McConnell 2017).
-    A shortest admissible path provides the prefix.  The returned value is
-    the exact mean of the witness cycle.
     """
-    reach, dist, pred_pair = reachable_states(graph, y0)
-    N = reach.size
+    N = states.size
     S = np.zeros((N + 1, graph.n_states))
     totals = np.empty((N, graph.n_pairs))
     for k, (lookahead, S_k) in enumerate(_horizon_sums(graph, N)):
         totals[k], S[k + 1] = lookahead, S_k
     best_pair = _segment_argmin_pair(totals, S[1:], graph)  # row k - 1 for S_k
-    S = S[:, reach]
+    S = S[:, states]
     means = ((S[N] - S[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
     best_val = float(means.min())
 
     # Walk from the minimizing state; a state repeats within N steps.
     seen: dict[int, int] = {}
     walk: list[int] = []
-    z = int(reach[np.argmin(means)])
+    z = int(states[np.argmin(means)])
     while z not in seen:
         seen[z] = len(walk)
         walk.append(int(best_pair[N - 1 - len(walk), z]))
         z = int(graph.pair_succ[walk[-1]])
     cycle = walk[seen[z] :]
+    mean = float(np.mean(graph.pair_cost[cycle]))
+    if abs(mean - best_val) > 1e-6 * (1.0 + abs(best_val)):
+        raise RuntimeError(
+            f"cycle recovery drifted: table mean {best_val}, witness mean {mean}"
+        )
+    return cycle, mean
+
+
+def v_per(graph: Graph, y0: int) -> VPerResult:
+    """Minimum mean cost over cycles reachable from y0, with a witness.
+
+    The cycle is _min_mean_cycle's over the states reachable from y0; a
+    shortest admissible path provides the prefix.  The returned value is
+    the exact mean of the witness cycle.
+    """
+    reach, dist, pred_pair = reachable_states(graph, y0)
+    cycle, _ = _min_mean_cycle(graph, reach)
 
     # Rotate the cycle to start at its state closest to y0, then attach the
     # breadth-first prefix.
@@ -428,12 +437,7 @@ def v_per(graph: Graph, y0: int) -> VPerResult:
         prefix_pairs=np.array(prefix, dtype=int),
         cycle_pairs=np.array(cycle, dtype=int),
     )
-    value = process.mean_cycle_cost
-    if abs(value - best_val) > 1e-6 * (1.0 + abs(best_val)):
-        raise RuntimeError(
-            f"cycle recovery drifted: table mean {best_val}, witness mean {value}"
-        )
-    return VPerResult(value=value, process=process)
+    return VPerResult(value=process.mean_cycle_cost, process=process)
 
 
 def pair_from_process(process: PeriodicProcess) -> PrimalPair:

@@ -38,6 +38,12 @@ brought to that basis by one linear solve, a basic value below -FEAS_TOL
 raises InaccurateSolution, phase 1 and the drive-out of artificials are
 skipped, and phase 2 runs as usual.  After each pivot of such a solve the
 right-hand side is clamped at zero, as under the lexicographic rule.
+
+The tableau is never refactorized, so pivots can leave roundoff in it.
+After phase 2 one matvec checks A x = b.  Only on a miss above FEAS_TOL
+are the basic values re-read from the final basis's columns by one linear
+solve, checked and clamped as for a starting basis; the row duals stay
+the tableau's.
 """
 
 from __future__ import annotations
@@ -203,18 +209,24 @@ def solve(
     Tb[:m, :N] = A
     Tb[:m, N : N + m] = np.eye(m)
     Tb[:m, -1] = b
+
+    def reread(B: np.ndarray, rhs: np.ndarray, cols, what: str) -> None:
+        """Overwrite tableau columns cols with B^-1 rhs by one linear solve,
+        B being the basis columns of [A | I] and rhs the same columns of
+        [A | I | b].  A basic value below -FEAS_TOL is no roundoff and
+        raises InaccurateSolution; the others are clamped at zero."""
+        Tb[:m, cols] = np.linalg.solve(B, rhs)
+        worst = float(Tb[:m, -1].min(initial=0.0))
+        if worst < -FEAS_TOL:
+            raise InaccurateSolution(f"{what} is not primal feasible: basic value {worst:.3g}")
+        np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
+
     warm = basis is not None
     if warm:
         basis = np.array(basis, dtype=int)
         if basis.shape != (m,):
             raise ValueError(f"a starting basis needs {m} columns, got {basis.shape}")
-        Tb[:m] = np.linalg.solve(Tb[:m, basis], Tb[:m])
-        worst = float(Tb[:m, -1].min(initial=0.0))
-        if worst < -FEAS_TOL:
-            raise InaccurateSolution(
-                f"starting basis is not primal feasible: basic value {worst:.3g}"
-            )
-        np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
+        reread(Tb[:m, basis], Tb[:m], slice(None), "starting basis")
     else:
         basis = np.arange(N, N + m)
     iterations = 0
@@ -328,8 +340,13 @@ def solve(
             phase1_iterations=phase1_iterations,
         )
 
+    # Pivots accumulate roundoff in the tableau.  One matvec checks A x = b;
+    # only on a miss are the basic values re-read from the final basis.
     x_ext = np.zeros(N + m)
     x_ext[basis] = Tb[:m, -1]
+    if np.max(np.abs(A @ x_ext[:N] - b), initial=0.0) > FEAS_TOL:
+        reread(np.hstack([A, np.eye(m)])[:, basis], b, -1, "final basis")
+        x_ext[basis] = Tb[:m, -1]
     x = np.zeros(n)
     np.add.at(x, col_orig, col_sign * x_ext[:N])
     # Artificial column i began as e_i, so its phase-2 reduced cost is

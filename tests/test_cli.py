@@ -406,9 +406,10 @@ class TestSimplexCalls:
         [
             # the theta = 0 solve, then one perturbed primal per default T
             (["solve", "--problem", "toy", "--y0", "15"], 4),
-            # that solve, perturbed primals at T = 10, 100, the membership LP
-            (["verify", "--problem", "toy", "--y0", "15"], 4),
-            (["verify", "--problem", "threestate", "--y0", "0"], 4),
+            # that solve and perturbed primals at T = 10, 100; the membership
+            # check reads a minimum mean cycle and runs no LP
+            (["verify", "--problem", "toy", "--y0", "15"], 3),
+            (["verify", "--problem", "threestate", "--y0", "0"], 3),
             # theta = 0 reuses the solve that gives d*; theta rows' gamma is
             # stationary, so no projection LP runs
             (
@@ -436,8 +437,7 @@ class TestSimplexCalls:
 
 class TestWarmStarts:
     """Every theta > 0 measure program of a command starts from the theta = 0
-    optimal basis and skips phase 1.  verify's membership LP is another
-    program, solved cold; it is told apart by its shape."""
+    optimal basis and skips phase 1."""
 
     @pytest.mark.parametrize(
         "argv, warm",
@@ -507,6 +507,11 @@ class TestProjectionSweeps:
                 for y0 in (1, 5, 10, 11, 12, 17)
             ),
             "--problem random --states 9 --seed 7 --y0 0 --sweep T --values 3,5,7,9",
+            *(
+                f"--problem random --states 30 --seed {seed} --y0 1 --sweep {sweep}"
+                for seed in (1, 5)
+                for sweep in ("T --values 4,16,64", f"alpha --values {_ALPHAS}")
+            ),
         ],
     )
     def test_sweep_projects(self, capsys, argv):

@@ -31,6 +31,7 @@ from lrac import (
     solve_dual,
     solve_primal,
     solve_q_form,
+    stationarity_residual,
     sup_over_K,
     v_per,
     value_iteration_avg,
@@ -225,10 +226,11 @@ class TestCertificateOracle:
 
 
 class TestCostScale:
-    """Scaling every cost by s scales d* by s, and the certificate stays
-    feasible to a tolerance relative to the scaled cost bound."""
+    """Scaling every cost by s scales d* by s, adding c to every cost adds c
+    to d*, and the certificate stays feasible to a tolerance relative to the
+    new cost bound."""
 
-    @pytest.mark.parametrize("s", (1e3, 1e6, 1e9))
+    @pytest.mark.parametrize("s", (1e-6, 1e-3, 1e3, 1e6, 1e9))
     def test_dual_scales_with_costs(self, value_panel, s):
         for entry in value_panel:
             graph, M = entry["graph"], entry["M"]
@@ -239,6 +241,18 @@ class TestCostScale:
                 assert abs(res.value - s * row["d"]) <= 1e-9 * s * (1.0 + M)
                 feas = certificate_residuals(scaled, y0, res.cert)
                 assert max(feas.values()) <= 1e-9 * (1.0 + M_s)
+
+    @pytest.mark.parametrize("c", (-0.5, 3.0, -1e3, 1e3))
+    def test_dual_shifts_with_costs(self, value_panel, c):
+        for entry in value_panel:
+            graph = entry["graph"]
+            shifted = dataclasses.replace(graph, pair_cost=graph.pair_cost + c)
+            M_c = shifted.cost_bound
+            for y0, row in enumerate(entry["rows"]):
+                res = solve_dual(shifted, y0)
+                assert abs(res.value - (row["d"] + c)) <= 1e-9 * (1.0 + M_c)
+                feas = certificate_residuals(shifted, y0, res.cert)
+                assert max(feas.values()) <= 1e-9 * (1.0 + M_c)
 
 
 class TestThetaFamily:
@@ -501,6 +515,35 @@ class TestErgodicInner:
             from lrac import stationarity_residual
 
             assert stationarity_residual(r) <= 1e-9
+
+    def test_matches_highs(self, toy_graph, threestate_graph, random_graphs):
+        """The stationary-measure program stated directly, min <k - w, gamma>
+        over gamma >= 0 with unit mass and inflow = marginal, solved by
+        HiGHS, for random w and for the q-form psi."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(4)
+        checked = 0
+        for graph in (toy_graph, threestate_graph, *random_graphs[:10]):
+            n, P = graph.n_states, graph.n_pairs
+            A_eq = np.zeros((1 + n, P))
+            A_eq[0] = 1.0
+            np.add.at(A_eq, (1 + graph.pair_succ, np.arange(P)), 1.0)
+            np.add.at(A_eq, (1 + graph.pair_state, np.arange(P)), -1.0)
+            b_eq = np.zeros(1 + n)
+            b_eq[0] = 1.0
+            ws = [rng.normal(size=n) * graph.cost_bound]
+            ws += [solve_q_form(graph, y0).psi for y0 in range(0, n, max(1, n // 3))]
+            for w in ws:
+                slack = graph.pair_cost - w[graph.pair_state]
+                ref = linprog(slack, A_eq=A_eq, b_eq=b_eq, method="highs")
+                assert ref.status == 0, ref.message
+                tol = 1e-9 * (1.0 + float(np.max(np.abs(slack))))
+                res = ergodic_inner_lp(graph, w)
+                assert abs(res.value - ref.fun) <= tol
+                assert stationarity_residual(res.gamma) <= 1e-9
+                assert abs(float(slack @ res.gamma.weights) - res.value) <= tol
+                checked += 1
+        assert checked >= 40, checked
 
 
 class TestMembershipCone:

@@ -6,17 +6,17 @@ reachable minimum mean cycle, a feedback policy) and reports the bracket
 lower bound <= V_T <= perturbed upper bound per horizon.  The lower bound
 is d* - S_eta/T, the link the certificate proves at horizon T, with S_eta
 the largest rise of its eta potential from y0 to a reachable state; the
-upper bound is the measure program's value at transfer price 2M/T.
+upper bound is k*(theta) at transfer price theta = 2M/T.
 sweep emits one CSV row per parameter point.  verify runs the internal
 consistency suite, whose horizon row checks the same bracket as solve at
 T = 10 and 100, and exits nonzero if an invariant is violated; its
 certificate class row tests the q-form psi with k_membership, a minimum
 mean cycle over the whole graph that solves no LP.
-Each command solves the theta = 0 measure program once and reads k*, d*,
-the certificate and the q-form optimum off that one solve; every theta > 0
-measure program starts from that solve's optimal basis, so the measure
-programs of one command share a single phase 1.  --out sends any
-command's report to a file instead of stdout.
+Each command solves the theta = 0 measure program once, its only LP, and
+reads k*, d*, the certificate and the q-form optimum off that one solve;
+every k*(theta) with theta > 0 (upper links, solve's --theta, theta sweep
+rows) is k_star_theta's minimum mean cycle, which builds no program.
+--out sends any command's report to a file instead of stdout.
 
 Exit codes: 0 success, 1 failed invariant or non-viable problem, 2 usage
 or schema errors, 3 a solver failed (simplex iteration limit, a program
@@ -65,6 +65,7 @@ from .problem import (
 )
 from .programs import (
     k_membership,
+    k_star_theta,
     pair_from_process,
     pair_residuals,
     project_to_W,
@@ -138,16 +139,16 @@ def _chain(graph, y0: int, primal, horizons) -> list[tuple[int, float, float, fl
     """(T, lower, V_T, upper) bracket rows, one per horizon.
 
     lower = d* - S_eta/T is the link the certificate proves, with S_eta
-    the largest rise of its eta from y0 to a reachable state; upper is
-    the measure program's value at transfer price theta = 2M/T, solved
-    from the optimal basis of the theta = 0 result primal.
+    the largest rise of its eta from y0 to a reachable state, read off
+    the theta = 0 result primal; upper is k*(theta) at transfer price
+    theta = 2M/T, from k_star_theta.
     """
     cert = primal.cert
     eta_span = float(np.max(cert.eta[reachable_states(graph, y0)[0]]) - cert.eta[y0])
     rows = []
     for T in horizons:
         vT = value_iteration_avg(graph, T)(y0)
-        upper = solve_primal(graph, y0, 2.0 * graph.cost_bound / T, start=primal).value
+        upper = k_star_theta(graph, y0, 2.0 * graph.cost_bound / T).value
         rows.append((T, cert.mu - eta_span / T, vT, upper))
     return rows
 
@@ -189,7 +190,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         },
         "k_star": primal.value,
         "k_star_theta": {
-            str(t): (primal if t == 0.0 else solve_primal(graph, y0, t, start=primal)).value
+            str(t): primal.value if t == 0.0 else k_star_theta(graph, y0, t).value
             for t in sorted(set(theta_list))
         },
         "d_star": cert.mu,
@@ -237,9 +238,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append([alpha, vf(y0), vf(y0) - d_star, dist])
     else:
         for theta in sorted(set(_parse_floats(args.values))):
-            res = base if theta == 0.0 else solve_primal(graph, y0, theta, start=base)
-            dist = project_to_W(res.pair.gamma, basis).distance
-            rows.append([theta, res.value, res.value - d_star, dist])
+            if theta == 0.0:
+                value, gamma = base.value, base.pair.gamma
+            else:
+                res = k_star_theta(graph, y0, theta)
+                value, gamma = res.value, res.gamma
+            dist = project_to_W(gamma, basis).distance
+            rows.append([theta, value, value - d_star, dist])
     header = ["parameter", "value", "gap_to_dstar", "distance_to_W"]
     if args.format == "json":
         _emit(

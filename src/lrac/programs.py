@@ -28,13 +28,15 @@ the objective), the optimal certificate is
 
 and the cap row's dual is zero because its slack stays basic.  Only
 solve_primal builds a tableau; solve_dual and solve_q_form are views of
-its result.  With the cap row at every theta, the programs of one
-(graph, y0) differ only in the price on xi, so any optimal basis of one
-is a feasible starting basis for the others: solve_primal(..., start=r)
-re-solves from r's basis with phase 2 alone.
+its result.
 
 On a finite graph both optimal values agree with the minimum mean cost
 over cycles reachable from y0, which v_per reads off dp's recursion.
+For theta > 0 the measure program's minimum still sits at gamma uniform
+on one reachable cycle C, with xi carrying the unit of mass from y0
+along shortest hop paths, so the cap never binds; k_star_theta reads
+that value as the minimum mean of k + theta * hop(y0, .) over reachable
+cycles, off the same recursion.
 The q-form program is the dual with mu eliminated, maximizing psi(y0):
 
     maximize   psi(y0)
@@ -81,6 +83,7 @@ __all__ = [
     "ProjectionResult",
     "PrimalInfeasible",
     "solve_primal",
+    "k_star_theta",
     "solve_dual",
     "solve_q_form",
     "sup_over_K",
@@ -134,7 +137,6 @@ class PrimalResult:
     residuals: dict[str, float]
     cert: DualCertificate
     y0: int
-    basis: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -219,21 +221,18 @@ def _incidence(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return marg, inflow
 
 
-def solve_primal(
-    graph: Graph, y0: int, theta: float = 0.0, start: PrimalResult | None = None
-) -> PrimalResult:
+def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
     """Minimum expected cost over stationary measures reachable from y0,
     the transfer flow priced at theta per unit.
 
     A cap <1, xi> <= n_states * n_pairs (far above what any transfer
     needs) keeps the feasible region bounded at theta = 0 and is kept at
-    every theta, so the constraints do not depend on theta; the cap's dual
-    multiplier is reported and should be zero at any optimum.  start, a
-    result for the same graph and y0 at any theta, makes the solve begin
-    at its optimal basis and skip phase 1.  The result also carries the
-    optimal certificate, read off the row duals (see the module docstring),
-    and its basis.  A gamma or xi that misses its sign or mass constraint
-    by more than roundoff raises simplex.InaccurateSolution.
+    every theta; the cap's dual multiplier is reported and should be zero
+    at any optimum.  The result also carries the optimal certificate, read
+    off the row duals (see the module docstring).  A gamma or xi that
+    misses its sign or mass constraint by more than roundoff raises
+    simplex.InaccurateSolution.  k_star_theta gives the same value for
+    theta > 0 without a program.
 
     The simplex prices c / M, M = graph.cost_bound (1 when every cost is 0),
     so its tolerances do not depend on the unit of cost; the value and the
@@ -241,8 +240,6 @@ def solve_primal(
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
-    if start is not None and (start.y0 != y0 or start.pair.gamma.graph is not graph):
-        raise ValueError("start must be a measure-program result for the same graph and y0")
     n, P = graph.n_states, graph.n_pairs
     M = graph.cost_bound or 1.0
     marg, inflow = _incidence(graph)
@@ -260,7 +257,7 @@ def solve_primal(
     A[2 * n + 1, P:] = 1.0
     b[2 * n + 1] = float(n * P)
     lp = simplex.LinearProgram(c=c, A=A, b=b)
-    sol = simplex.solve(lp, basis=None if start is None else start.basis)
+    sol = simplex.solve(lp)
     if sol.status != "optimal":
         raise PrimalInfeasible(
             f"measure program for y0={y0}, theta={theta} returned {sol.status}"
@@ -283,8 +280,21 @@ def solve_primal(
         residuals=simplex.kkt_residuals(lp, sol),
         cert=cert,
         y0=int(y0),
-        basis=sol.basis,
     )
+
+
+def k_star_theta(graph: Graph, y0: int, theta: float) -> ErgodicInnerResult:
+    """The measure program's value at transfer price theta, with an optimal
+    gamma, read off the cycle recursion instead of a tableau.
+
+    It is the minimum mean of k + theta * hop(y0, .) over cycles reachable
+    from y0 (see the module docstring), attained by the uniform measure on
+    that cycle; the value is that cycle's mean of the shifted costs.
+    """
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
+    reach, dist, _ = reachable_states(graph, y0)
+    return _cycle_measure(graph, theta * dist[graph.pair_state], reach)
 
 
 def solve_dual(graph: Graph, y0: int, theta: float = 0.0) -> DualResult:
@@ -322,10 +332,7 @@ def ergodic_inner_lp(graph: Graph, w) -> ErgodicInnerResult:
     w = np.asarray(getattr(w, "values", w), dtype=float)
     if w.shape != (graph.n_states,):
         raise ValueError("w must assign a value to every state")
-    slack = replace(graph, pair_cost=graph.pair_cost - w[graph.pair_state])
-    cycle, value = _min_mean_cycle(slack, np.arange(graph.n_states))
-    weights = np.bincount(cycle, minlength=graph.n_pairs) / len(cycle)
-    return ErgodicInnerResult(value=value, gamma=OccupationalMeasure(graph=graph, weights=weights))
+    return _cycle_measure(graph, -w[graph.pair_state], np.arange(graph.n_states))
 
 
 def k_membership(graph: Graph, w, tol: float = 1e-7) -> bool:
@@ -406,6 +413,15 @@ def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float]
             f"cycle recovery drifted: table mean {best_val}, witness mean {mean}"
         )
     return cycle, mean
+
+
+def _cycle_measure(graph: Graph, shift: np.ndarray, states: np.ndarray) -> ErgodicInnerResult:
+    """_min_mean_cycle of pair costs k + shift among a closed set of states,
+    with the uniform measure on that cycle."""
+    shifted = replace(graph, pair_cost=graph.pair_cost + shift)
+    cycle, value = _min_mean_cycle(shifted, states)
+    weights = np.bincount(cycle, minlength=graph.n_pairs) / len(cycle)
+    return ErgodicInnerResult(value=value, gamma=OccupationalMeasure(graph=graph, weights=weights))
 
 
 def v_per(graph: Graph, y0: int) -> VPerResult:

@@ -27,23 +27,11 @@ variable at -1e-11.  The rule stays off by default: the other programs
 keep their pivot path, and with it the optimal vertex they report where
 several are optimal.
 
-A caller may also hand solve a starting basis, solve(lp, basis=...),
-typically LpSolution.basis of an earlier solve.  That basis lives in the
-solver's internal column space: the split variables (each free variable
-as its positive then its negative part), then one artificial per row.  It
-round-trips only into a program with the same A, b and free mask, where
-it is primal feasible whatever c is; this is how a family of programs
-that differ only in c is re-solved (Gass and Saaty 1955).  The tableau is
-brought to that basis by one linear solve, a basic value below -FEAS_TOL
-raises InaccurateSolution, phase 1 and the drive-out of artificials are
-skipped, and phase 2 runs as usual.  After each pivot of such a solve the
-right-hand side is clamped at zero, as under the lexicographic rule.
-
 The tableau is never refactorized, so pivots can leave roundoff in it.
 After phase 2 one matvec checks A x = b.  Only on a miss above FEAS_TOL
 are the basic values re-read from the final basis's columns by one linear
-solve, checked and clamped as for a starting basis; the row duals stay
-the tableau's.
+solve; a basic value below -FEAS_TOL then raises InaccurateSolution, the
+others are clamped at zero, and the row duals stay the tableau's.
 """
 
 from __future__ import annotations
@@ -153,11 +141,9 @@ class LpSolution:
     """Solver outcome: status is "optimal", "infeasible" or "unbounded".
 
     x and y (row duals, stated for the program as given, so b'y equals the
-    objective at optimality for either sense) are None unless optimal, and
-    so is basis, the final basis in the solver's internal column space
-    (see the module docstring).  iterations counts every pivot;
-    phase1_iterations those of phase 1 and the drive-out of artificials,
-    0 on a solve from a starting basis.
+    objective at optimality for either sense) are None unless optimal.
+    iterations counts every pivot; phase1_iterations those of phase 1 and
+    the drive-out of artificials.
     """
 
     status: str
@@ -167,7 +153,6 @@ class LpSolution:
     iterations: int
     phase1_objective: float = 0.0
     phase1_iterations: int = 0
-    basis: np.ndarray | None = None
 
 
 def solve(
@@ -175,11 +160,9 @@ def solve(
     max_iter: int | None = None,
     *,
     lexicographic: bool = False,
-    basis: np.ndarray | None = None,
 ) -> LpSolution:
     """Run two-phase primal simplex on a standard-form program; with
-    lexicographic=True, ratio-test ties are broken lexicographically; with
-    a starting basis, only phase 2 runs, from that basis."""
+    lexicographic=True, ratio-test ties are broken lexicographically."""
     m, n = lp.n_rows, lp.n_vars
     sense_sign = 1.0 if lp.sense == "min" else -1.0
     c0 = sense_sign * lp.c
@@ -210,25 +193,7 @@ def solve(
     Tb[:m, N : N + m] = np.eye(m)
     Tb[:m, -1] = b
 
-    def reread(B: np.ndarray, rhs: np.ndarray, cols, what: str) -> None:
-        """Overwrite tableau columns cols with B^-1 rhs by one linear solve,
-        B being the basis columns of [A | I] and rhs the same columns of
-        [A | I | b].  A basic value below -FEAS_TOL is no roundoff and
-        raises InaccurateSolution; the others are clamped at zero."""
-        Tb[:m, cols] = np.linalg.solve(B, rhs)
-        worst = float(Tb[:m, -1].min(initial=0.0))
-        if worst < -FEAS_TOL:
-            raise InaccurateSolution(f"{what} is not primal feasible: basic value {worst:.3g}")
-        np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
-
-    warm = basis is not None
-    if warm:
-        basis = np.array(basis, dtype=int)
-        if basis.shape != (m,):
-            raise ValueError(f"a starting basis needs {m} columns, got {basis.shape}")
-        reread(Tb[:m, basis], Tb[:m], slice(None), "starting basis")
-    else:
-        basis = np.arange(N, N + m)
+    basis = np.arange(N, N + m)
     iterations = 0
     if max_iter is None:
         max_iter = 2000 + 200 * m + 20 * N
@@ -244,7 +209,7 @@ def solve(
         col[i] = 0.0
         Tb[...] -= np.outer(col, Tb[i])
         basis[i] = j
-        if lexicographic or warm:
+        if lexicographic:
             np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
 
     def run_phase(allowed: np.ndarray) -> str:
@@ -292,36 +257,34 @@ def solve(
                 if not bland and stall >= 2 * max(m, 1):
                     bland = True
 
-    phase1_obj = 0.0
-    if not warm:
-        # Phase 1: minimize the artificial mass.
-        phase1_cost = np.concatenate([np.zeros(N), np.ones(m)])
-        install_objective(phase1_cost)
-        allowed = np.ones(N + m, dtype=bool)
-        status = run_phase(allowed)
-        if status != "optimal":  # cannot happen: phase 1 is bounded below by zero
-            raise RuntimeError("phase 1 reported unbounded")
-        phase1_obj = -Tb[m, -1]
-        if phase1_obj > FEAS_TOL:
-            return LpSolution(
-                status="infeasible",
-                objective=None,
-                x=None,
-                y=None,
-                iterations=iterations,
-                phase1_objective=phase1_obj,
-                phase1_iterations=iterations,
-            )
+    # Phase 1: minimize the artificial mass.
+    phase1_cost = np.concatenate([np.zeros(N), np.ones(m)])
+    install_objective(phase1_cost)
+    allowed = np.ones(N + m, dtype=bool)
+    status = run_phase(allowed)
+    if status != "optimal":  # cannot happen: phase 1 is bounded below by zero
+        raise RuntimeError("phase 1 reported unbounded")
+    phase1_obj = -Tb[m, -1]
+    if phase1_obj > FEAS_TOL:
+        return LpSolution(
+            status="infeasible",
+            objective=None,
+            x=None,
+            y=None,
+            iterations=iterations,
+            phase1_objective=phase1_obj,
+            phase1_iterations=iterations,
+        )
 
-        # Drive artificials out of the basis where a usable pivot exists;
-        # rows that offer none are redundant and keep a zero-level artificial.
-        for i in range(m):
-            if basis[i] >= N:
-                entries = np.abs(Tb[i, :N])
-                j = int(np.argmax(entries))
-                if entries[j] > 1e-8:
-                    pivot(i, j)
-                    iterations += 1
+    # Drive artificials out of the basis where a usable pivot exists;
+    # rows that offer none are redundant and keep a zero-level artificial.
+    for i in range(m):
+        if basis[i] >= N:
+            entries = np.abs(Tb[i, :N])
+            j = int(np.argmax(entries))
+            if entries[j] > 1e-8:
+                pivot(i, j)
+                iterations += 1
     phase1_iterations = iterations
 
     # Phase 2 on the true objective, artificials barred from entering.
@@ -345,8 +308,11 @@ def solve(
     x_ext = np.zeros(N + m)
     x_ext[basis] = Tb[:m, -1]
     if np.max(np.abs(A @ x_ext[:N] - b), initial=0.0) > FEAS_TOL:
-        reread(np.hstack([A, np.eye(m)])[:, basis], b, -1, "final basis")
-        x_ext[basis] = Tb[:m, -1]
+        x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, basis], b)
+        worst = float(x_B.min(initial=0.0))
+        if worst < -FEAS_TOL:
+            raise InaccurateSolution(f"final basis is not primal feasible: basic value {worst:.3g}")
+        x_ext[basis] = np.maximum(x_B, 0.0)
     x = np.zeros(n)
     np.add.at(x, col_orig, col_sign * x_ext[:N])
     # Artificial column i began as e_i, so its phase-2 reduced cost is
@@ -360,7 +326,6 @@ def solve(
         iterations=iterations,
         phase1_objective=phase1_obj,
         phase1_iterations=phase1_iterations,
-        basis=basis,
     )
 
 

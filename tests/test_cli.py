@@ -315,6 +315,16 @@ class TestVerify:
             expected = [r["lower"], r["V_T"], r["upper"]]
             assert reported[r["T"]] == pytest.approx(expected, rel=1e-5)
 
+    def test_clamp_keeps_xi_nonnegative(self, capsys):
+        # A measure program on this instance once ended with an xi weight
+        # of -3.17e-12, a solver failure; every row must pass.
+        code, out = _run(
+            capsys, ["verify", "--problem", "random", "--states", "40", "--seed", "2", "--y0", "0"]
+        )
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == 7 and all(r.startswith("PASS") for r in rows), out
+
     def test_broken_viability_exits_one(self, capsys, tmp_path):
         path = _broken_viability_file(tmp_path)
         code = main(["verify", "--problem", path, "--y0", "0"])
@@ -344,6 +354,19 @@ class TestExitCodes:
     def test_bad_y0_is_usage_error(self, capsys):
         assert main(["solve", "--problem", "toy", "--y0", "99"]) == 2
         assert main(["solve", "--problem", "toy", "--y0", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "toy", "--y0", "15", "--theta", "-1"],
+            ["sweep", "--problem", "toy", "--y0", "15", "--sweep", "theta", "--values=-1,0"],
+        ],
+    )
+    def test_negative_theta_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid arguments: theta must be nonnegative\n"
 
     def test_solver_failure_exits_three(self, capsys, monkeypatch):
         def give_up(graph, y0, theta=0.0):
@@ -398,26 +421,29 @@ class TestDeterminism:
 
 class TestSimplexCalls:
     """Each command reads k*, d*, the certificate and the q-form optimum off
-    one theta = 0 measure solve; a second tableau for any of them shows up
-    here as an extra simplex call."""
+    one theta = 0 measure solve, and every k*(theta) with theta > 0 off the
+    cycle recursion; a second tableau for any of them shows up here as an
+    extra simplex call."""
 
     @pytest.mark.parametrize(
         "argv, calls",
         [
-            # the theta = 0 solve, then one perturbed primal per default T
-            (["solve", "--problem", "toy", "--y0", "15"], 4),
-            # that solve and perturbed primals at T = 10, 100; the membership
-            # check reads a minimum mean cycle and runs no LP
-            (["verify", "--problem", "toy", "--y0", "15"], 3),
-            (["verify", "--problem", "threestate", "--y0", "0"], 3),
-            # theta = 0 reuses the solve that gives d*; theta rows' gamma is
-            # stationary, so no projection LP runs
+            # the theta = 0 solve; the upper link per default T reads a
+            # minimum mean cycle and runs no LP
+            (["solve", "--problem", "toy", "--y0", "15"], 1),
+            # that solve; the upper links at T = 10, 100 and the membership
+            # check read minimum mean cycles
+            (["verify", "--problem", "toy", "--y0", "15"], 1),
+            (["verify", "--problem", "threestate", "--y0", "0"], 1),
+            # theta = 0 reuses the solve that gives d*; the theta > 0 row
+            # reads a cycle, and every row's gamma is stationary, so no
+            # projection LP runs
             (
                 [
                     "sweep", "--problem", "threestate", "--y0", "0",
                     "--sweep", "theta", "--values", "0,0.05",
                 ],
-                2,
+                1,
             ),
         ],
     )
@@ -433,53 +459,6 @@ class TestSimplexCalls:
         code, _ = _run(capsys, argv)
         assert code == 0
         assert len(seen) == calls, seen
-
-
-class TestWarmStarts:
-    """Every theta > 0 measure program of a command starts from the theta = 0
-    optimal basis and skips phase 1."""
-
-    @pytest.mark.parametrize(
-        "argv, warm",
-        [
-            (["solve", "--problem", "toy", "--y0", "15", "--theta", "0.25"], 4),
-            (["verify", "--problem", "toy", "--y0", "15"], 2),
-            (["verify", "--problem", "threestate", "--y0", "0"], 2),
-            (
-                [
-                    "sweep", "--problem", "threestate", "--y0", "0",
-                    "--sweep", "theta", "--values", "0,0.05,0.1",
-                ],
-                2,
-            ),
-        ],
-    )
-    def test_one_phase_one(self, capsys, monkeypatch, argv, warm):
-        real = lrac.simplex.solve
-        seen = []
-
-        def recording(lp, *args, **kwargs):
-            sol = real(lp, *args, **kwargs)
-            seen.append((lp.A.shape, kwargs.get("basis") is not None, sol.phase1_iterations))
-            return sol
-
-        monkeypatch.setattr(lrac.simplex, "solve", recording)
-        code, _ = _run(capsys, argv)
-        assert code == 0
-        (shape, first_warm, first_phase1), rest = seen[0], seen[1:]
-        assert not first_warm and first_phase1 > 0
-        measure = [(w, p1) for s, w, p1 in rest if s == shape]
-        assert measure == [(True, 0)] * warm, seen
-
-    def test_clamp_keeps_xi_nonnegative(self, capsys):
-        # Without the rhs clamp after each warm pivot, the T = 10 measure
-        # program here ends with an xi weight of -3.17e-12, a solver failure.
-        code, out = _run(
-            capsys, ["verify", "--problem", "random", "--states", "40", "--seed", "2", "--y0", "0"]
-        )
-        assert code == 0
-        rows = out.splitlines()
-        assert len(rows) == 7 and all(r.startswith("PASS") for r in rows), out
 
 
 _ALPHAS = "0.9,0.99,0.999"

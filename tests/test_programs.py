@@ -18,6 +18,7 @@ from lrac import (
     ergodic_inner_lp,
     greedy_policy,
     k_membership,
+    k_star_theta,
     measure_to_json,
     membership_W,
     occupational_measure,
@@ -86,6 +87,19 @@ class TestPrimal:
     def test_result_serializes(self, threestate_graph):
         data = solve_primal(threestate_graph, 0).to_dict()
         assert set(data) >= {"value", "gamma", "xi", "cap_dual", "residuals"}
+
+    def test_roundoff_in_measure_is_a_solver_failure(self, threestate_graph, monkeypatch):
+        real = simplex.solve
+        P = threestate_graph.n_pairs
+
+        def drift(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            sol.x[P] = -1e-9  # the first xi weight
+            return sol
+
+        monkeypatch.setattr(simplex, "solve", drift)
+        with pytest.raises(InaccurateSolution, match="1e-09"):
+            solve_primal(threestate_graph, 0)
 
 
 class TestDual:
@@ -275,20 +289,18 @@ class TestThetaFamily:
                 assert uppers[-1] >= row["k"] - 1e-8
 
 
-class TestWarmFamily:
-    """theta > 0 measure programs solved from the theta = 0 optimal basis,
-    against the same programs solved cold."""
+class TestKStarTheta:
+    """k*(theta) read off the cycle recursion, against the measure program
+    solved by the simplex at the same transfer price."""
 
     @staticmethod
     def _check(graph, y0):
-        base = solve_primal(graph, y0)
         M = graph.cost_bound
         for theta in [2.0 * M / T for T in (4, 16, 64, 4096)] + [0.1]:
-            warm = solve_primal(graph, y0, theta, start=base)
-            cold = solve_primal(graph, y0, theta)
-            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + M), (y0, theta)
-            r = pair_residuals(warm.pair, y0)
-            assert max(r.values()) <= 1e-9
+            res = k_star_theta(graph, y0, theta)
+            lp = solve_primal(graph, y0, theta)
+            assert abs(res.value - lp.value) <= 1e-9 * (1.0 + M), (y0, theta)
+            assert membership_W(res.gamma)
 
     def test_toy_every_start(self, toy_graph):
         for y0 in range(toy_graph.n_states):
@@ -303,25 +315,22 @@ class TestWarmFamily:
             for y0 in sorted({0, graph.n_states - 1}):
                 self._check(graph, y0)
 
-    def test_start_from_another_program_rejected(self, toy_graph, threestate_graph):
-        base = solve_primal(toy_graph, 15)
-        with pytest.raises(ValueError, match="same graph and y0"):
-            solve_primal(toy_graph, 14, 0.1, start=base)
-        with pytest.raises(ValueError, match="same graph and y0"):
-            solve_primal(threestate_graph, 0, 0.1, start=solve_primal(toy_graph, 0))
+    def test_matches_brute_enumeration_on_shifted_costs(self, random_graphs):
+        # k + theta * hop(y0, .) as the pair costs of a plain cycle problem
+        for graph in [g for g in random_graphs if g.n_states <= 8]:
+            for y0 in range(graph.n_states):
+                dist = reachable_states(graph, y0)[1]
+                for theta in (0.1, 2.0 * graph.cost_bound / 4):
+                    shifted = dataclasses.replace(
+                        graph, pair_cost=graph.pair_cost + theta * dist[graph.pair_state]
+                    )
+                    assert k_star_theta(graph, y0, theta).value == pytest.approx(
+                        min_mean_cycle_brute(shifted, y0), abs=1e-9
+                    )
 
-    def test_roundoff_in_measure_is_a_solver_failure(self, threestate_graph, monkeypatch):
-        real = simplex.solve
-        P = threestate_graph.n_pairs
-
-        def drift(lp, *args, **kwargs):
-            sol = real(lp, *args, **kwargs)
-            sol.x[P] = -1e-9  # the first xi weight
-            return sol
-
-        monkeypatch.setattr(simplex, "solve", drift)
-        with pytest.raises(InaccurateSolution, match="1e-09"):
-            solve_primal(threestate_graph, 0)
+    def test_theta_must_be_nonnegative(self, toy_graph):
+        with pytest.raises(ValueError, match="theta must be nonnegative"):
+            k_star_theta(toy_graph, 0, -1.0)
 
 
 class TestBracketing:

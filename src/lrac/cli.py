@@ -12,14 +12,16 @@ consistency suite, whose horizon row checks the same bracket as solve at
 T = 10 and 100, and exits nonzero if an invariant is violated; its
 certificate class row tests the q-form psi with k_membership, a minimum
 mean cycle over the whole graph that solves no LP.
-Each command solves the theta = 0 measure program once, its only LP, and
-reads k*, d*, the certificate and the q-form optimum off that one solve;
-every k*(theta) with theta > 0 (upper links, solve's --theta, theta sweep
-rows) is k_star_theta's minimum mean cycle, which builds no program.
+Every k*(theta), theta = 0 included (upper links, solve's --theta,
+sweep's d* and its theta rows), is k_star_theta's minimum mean cycle,
+which builds no program.  Only solve and verify, which read the
+certificate, solve the theta = 0 measure program, once each; a sweep's
+only LPs are its projections onto W.
 --out sends any command's report to a file instead of stdout.
 
 Exit codes: 0 success, 1 failed invariant or non-viable problem, 2 usage
-or schema errors, 3 a solver failed (simplex iteration limit, a program
+or schema errors, an unreadable problem file or an --out that cannot be
+written, 3 a solver failed (simplex iteration limit, a program
 reported infeasible or unbounded, an inaccurate solution, or a DP loop
 that did not converge).
 """
@@ -190,8 +192,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         },
         "k_star": primal.value,
         "k_star_theta": {
-            str(t): primal.value if t == 0.0 else k_star_theta(graph, y0, t).value
-            for t in sorted(set(theta_list))
+            str(t): k_star_theta(graph, y0, t).value for t in sorted(set(theta_list))
         },
         "d_star": cert.mu,
         "sup_over_K": primal.as_q_form().value,
@@ -217,8 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
     graph = build_graph(problem)
     y0 = _start_state(args, problem)
-    base = solve_primal(graph, y0)
-    d_star = base.cert.mu
+    d_star = k_star_theta(graph, y0, 0.0).value
     basis = chebyshev_basis(graph)
     rows = []
     if args.sweep == "T":
@@ -238,13 +238,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append([alpha, vf(y0), vf(y0) - d_star, dist])
     else:
         for theta in sorted(set(_parse_floats(args.values))):
-            if theta == 0.0:
-                value, gamma = base.value, base.pair.gamma
-            else:
-                res = k_star_theta(graph, y0, theta)
-                value, gamma = res.value, res.gamma
-            dist = project_to_W(gamma, basis).distance
-            rows.append([theta, value, value - d_star, dist])
+            res = k_star_theta(graph, y0, theta)
+            dist = project_to_W(res.gamma, basis).distance
+            rows.append([theta, res.value, res.value - d_star, dist])
     header = ["parameter", "value", "gap_to_dstar", "distance_to_W"]
     if args.format == "json":
         _emit(
@@ -402,8 +398,13 @@ def main(argv: list[str] | None = None) -> int:
     except ViabilityViolation as exc:
         print(f"ViabilityViolation: {exc}", file=sys.stderr)
         return 1
-    except (ProblemFormatError, FileNotFoundError) as exc:
+    except ProblemFormatError as exc:
         print(f"problem input rejected: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # load_problem turns read errors into ProblemFormatError, so this
+        # one comes from writing the report to --out
+        print(f"output rejected: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)

@@ -300,12 +300,17 @@ def problem_from_dict(data: dict) -> ControlProblem:
 
 
 def load_problem(path: str) -> ControlProblem:
-    """Load a problem from a JSON file; raises ProblemFormatError on bad input."""
+    """Load a problem from a JSON file; raises ProblemFormatError on bad
+    input, a file that cannot be read or one that is not UTF-8 text."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise ProblemFormatError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         return problem_from_dict(data)
     except ProblemFormatError as exc:

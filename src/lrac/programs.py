@@ -211,6 +211,14 @@ class ProjectionResult:
     iterations: int
 
 
+def _check_theta(theta: float) -> None:
+    """Reject a transfer price that is not a finite number >= 0."""
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
+
+
 def _incidence(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Marginal and inflow indicator matrices, each (n_states, n_pairs)."""
     n, P = graph.n_states, graph.n_pairs
@@ -231,15 +239,15 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
     at any optimum.  The result also carries the optimal certificate, read
     off the row duals (see the module docstring).  A gamma or xi that
     misses its sign or mass constraint by more than roundoff raises
-    simplex.InaccurateSolution.  k_star_theta gives the same value for
-    theta > 0 without a program.
+    simplex.InaccurateSolution.  k_star_theta gives the same value at
+    every theta without a program, so the commands run this one only
+    where they read the certificate.
 
     The simplex prices c / M, M = graph.cost_bound (1 when every cost is 0),
     so its tolerances do not depend on the unit of cost; the value and the
     row duals are multiplied back by M, and residuals are relative to M.
     """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    _check_theta(theta)
     n, P = graph.n_states, graph.n_pairs
     M = graph.cost_bound or 1.0
     marg, inflow = _incidence(graph)
@@ -291,8 +299,7 @@ def k_star_theta(graph: Graph, y0: int, theta: float) -> ErgodicInnerResult:
     from y0 (see the module docstring), attained by the uniform measure on
     that cycle; the value is that cycle's mean of the shifted costs.
     """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    _check_theta(theta)
     reach, dist, _ = reachable_states(graph, y0)
     return _cycle_measure(graph, theta * dist[graph.pair_state], reach)
 

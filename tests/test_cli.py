@@ -17,6 +17,15 @@ def _run(capsys, argv):
     return code, out
 
 
+def _rejected(capsys, argv):
+    """stderr of a command that must exit 2 with one line and no output."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), captured.err
+    return captured.err
+
+
 def _broken_viability_file(tmp_path):
     # state 1 has no admissible action
     data = {
@@ -368,6 +377,36 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "invalid arguments: theta must be nonnegative\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "toy", "--y0", "15", "--theta", "nan"],
+            ["solve", "--problem", "toy", "--y0", "15", "--theta", "inf"],
+            ["sweep", "--problem", "toy", "--y0", "15", "--sweep", "theta", "--values", "0,nan"],
+        ],
+    )
+    def test_non_finite_theta_is_usage_error(self, capsys, argv):
+        assert _rejected(capsys, argv) == "invalid arguments: theta must be finite\n"
+
+    def test_problem_directory_is_usage_error(self, capsys, tmp_path):
+        err = _rejected(capsys, ["solve", "--problem", str(tmp_path), "--y0", "0"])
+        assert err.startswith(f"problem input rejected: {tmp_path}: cannot read"), err
+
+    def test_problem_not_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        err = _rejected(capsys, ["solve", "--problem", str(path), "--y0", "0"])
+        assert err.startswith(f"problem input rejected: {path}: not UTF-8 text"), err
+
+    def test_out_directory_is_output_error(self, capsys, tmp_path):
+        err = _rejected(capsys, ["solve", "--problem", "toy", "--y0", "0", "--out", str(tmp_path)])
+        assert err.startswith("output rejected: "), err
+
+    def test_out_missing_directory_is_output_error(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "x.json")
+        err = _rejected(capsys, ["solve", "--problem", "toy", "--y0", "0", "--out", out])
+        assert err.startswith("output rejected: "), err
+
     def test_solver_failure_exits_three(self, capsys, monkeypatch):
         def give_up(graph, y0, theta=0.0):
             raise IterationLimit("simplex exceeded 10 pivots on a 3x4 tableau")
@@ -420,31 +459,41 @@ class TestDeterminism:
 
 
 class TestSimplexCalls:
-    """Each command reads k*, d*, the certificate and the q-form optimum off
-    one theta = 0 measure solve, and every k*(theta) with theta > 0 off the
-    cycle recursion; a second tableau for any of them shows up here as an
-    extra simplex call."""
+    """Only solve and verify read the certificate, so each solves the
+    theta = 0 measure program once; every k*(theta), theta = 0 included,
+    comes off the cycle recursion.  A sweep's only LPs are its projections
+    onto W.  A second tableau for any of them shows up here as an extra
+    simplex call."""
 
     @pytest.mark.parametrize(
         "argv, calls",
         [
-            # the theta = 0 solve; the upper link per default T reads a
+            # the measure program; the upper link per default T reads a
             # minimum mean cycle and runs no LP
             (["solve", "--problem", "toy", "--y0", "15"], 1),
-            # that solve; the upper links at T = 10, 100 and the membership
-            # check read minimum mean cycles
+            # the measure program; the upper links at T = 10, 100 and the
+            # membership check read minimum mean cycles
             (["verify", "--problem", "toy", "--y0", "15"], 1),
             (["verify", "--problem", "threestate", "--y0", "0"], 1),
-            # theta = 0 reuses the solve that gives d*; the theta > 0 row
-            # reads a cycle, and every row's gamma is stationary, so no
-            # projection LP runs
+            # d* and every row read cycles, and a uniform cycle measure is
+            # stationary, so no projection runs
             (
                 [
                     "sweep", "--problem", "threestate", "--y0", "0",
                     "--sweep", "theta", "--values", "0,0.05",
                 ],
-                1,
+                0,
             ),
+            # one projection per discounted measure off the cycle
+            (
+                [
+                    "sweep", "--problem", "threestate", "--y0", "0",
+                    "--sweep", "alpha", "--values", "0.9,0.99",
+                ],
+                2,
+            ),
+            # both horizon measures are stationary
+            (["sweep", "--problem", "toy", "--y0", "15", "--sweep", "T", "--values", "3,5"], 0),
         ],
     )
     def test_call_count(self, capsys, monkeypatch, argv, calls):
@@ -459,6 +508,38 @@ class TestSimplexCalls:
         code, _ = _run(capsys, argv)
         assert code == 0
         assert len(seen) == calls, seen
+
+
+_CROSS_PANEL = [
+    *(["--problem", "toy", "--y0", str(y0)] for y0 in range(toy_problem().n_states)),
+    *(["--problem", "threestate", "--y0", str(y0)] for y0 in range(3)),
+    *(
+        ["--problem", "random", "--states", str(n), "--seed", str(seed), "--y0", str(y0)]
+        for n in (10, 20, 40)
+        for seed in range(4)
+        for y0 in (0, n - 1)
+    ),
+]
+
+
+class TestSweepMatchesSolve:
+    """sweep reads d* off the cycle recursion, solve off the measure
+    program's row duals; every sweep row's value - gap_to_dstar must be
+    solve's d_star."""
+
+    @pytest.mark.parametrize("instance", _CROSS_PANEL, ids=" ".join)
+    def test_dstar_agrees(self, capsys, instance):
+        code, out = _run(capsys, ["solve", *instance])
+        assert code == 0
+        solved = json.loads(out)
+        tol = 1e-9 * (1.0 + solved["cost_bound"])
+        for sweep in (["theta", "--values", "0,0.05"], ["alpha", "--values", "0.9"]):
+            argv = ["sweep", *instance, "--sweep", *sweep, "--format", "json"]
+            code, out = _run(capsys, argv)
+            assert code == 0
+            for row in json.loads(out):
+                gap = row["value"] - row["gap_to_dstar"] - solved["d_star"]
+                assert abs(gap) <= tol, (sweep, row, solved["d_star"])
 
 
 _ALPHAS = "0.9,0.99,0.999"

@@ -332,6 +332,12 @@ class TestKStarTheta:
         with pytest.raises(ValueError, match="theta must be nonnegative"):
             k_star_theta(toy_graph, 0, -1.0)
 
+    @pytest.mark.parametrize("fn", [k_star_theta, solve_primal])
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_theta_must_be_finite(self, toy_graph, fn, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            fn(toy_graph, 15, theta)
+
 
 class TestBracketing:
     def test_horizon_value_below_perturbed_primal(self, value_panel):

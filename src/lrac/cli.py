@@ -17,7 +17,16 @@ sweep's d* and its theta rows), is k_star_theta's minimum mean cycle,
 which builds no program.  Only solve and verify, which read the
 certificate, solve the theta = 0 measure program, once each; a sweep's
 only LPs are its projections onto W.
---out sends any command's report to a file instead of stdout.
+--out sends any command's report to a file instead of stdout, byte for
+byte what stdout would have shown.
+
+main builds its argparse parser once per process and reuses it: the
+same graph is solved, verified or swept once per start state, so a
+caller running many commands in one process would otherwise pay for a
+parser per command.  The parser holds no command function.  main looks
+cmd_solve, cmd_sweep or cmd_verify up in this module by name at call
+time, so a rebinding of those names (a test's monkeypatch, a tracer's
+wrapper) takes effect even after the parser was built.
 
 Exit codes: 0 success, 1 failed invariant or non-viable problem, 2 usage
 or schema errors, an unreadable problem file or an --out that cannot be
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -111,8 +121,11 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write a report, newline-terminated, to stdout or to the path out."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -219,14 +232,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     graph = build_graph(problem)
     y0 = _start_state(args, problem)
     d_star = k_star_theta(graph, y0, 0.0).value
-    basis = chebyshev_basis(graph)
+    # The test-function basis is built the first time a row's measure is
+    # off W, and only then: theta rows are cycle measures, and many alpha
+    # and T rows sit on a cycle, so most sweeps never project.
+    basis = None
+
+    def distance_to_W(measure) -> float:
+        nonlocal basis
+        if membership_W(measure):
+            return 0.0
+        if basis is None:
+            basis = chebyshev_basis(graph)
+        return project_to_W(measure, basis).distance
+
     rows = []
     if args.sweep == "T":
         for T in sorted(set(_parse_ints(args.values))):
             vf, policy = value_iteration_avg(graph, T, want_policy=True)
             value = vf(y0)
             traj = _horizon_trajectory(graph, y0, policy)
-            dist = project_to_W(occupational_measure(traj), basis).distance
+            dist = distance_to_W(occupational_measure(traj))
             rows.append([float(T), value, value - d_star, dist])
     elif args.sweep == "alpha":
         steps = 3 * problem.n_states + 8
@@ -234,12 +259,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             vf = value_iteration_discounted(graph, alpha)
             traj = rollout(graph, y0, greedy_policy(graph, vf), steps)
             m = discounted_occupational_measure(traj, alpha)
-            dist = project_to_W(m, basis).distance
+            dist = distance_to_W(m)
             rows.append([alpha, vf(y0), vf(y0) - d_star, dist])
     else:
         for theta in sorted(set(_parse_floats(args.values))):
             res = k_star_theta(graph, y0, theta)
-            dist = project_to_W(res.gamma, basis).distance
+            dist = distance_to_W(res.gamma)
             rows.append([theta, res.value, res.value - d_star, dist])
     header = ["parameter", "value", "gap_to_dstar", "distance_to_W"]
     if args.format == "json":
@@ -363,6 +388,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrac",
@@ -376,25 +402,23 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--alpha", default="0.9", help="comma list of discount factors")
     solve.add_argument("--theta", default="", help="comma list of transfer prices")
     solve.add_argument("--format", choices=("json", "csv"), default="json")
-    solve.set_defaults(func=cmd_solve)
 
     sweep = subs.add_parser("sweep", help="one row per parameter point")
     _add_common(sweep)
     sweep.add_argument("--sweep", choices=("T", "alpha", "theta"), required=True)
     sweep.add_argument("--values", required=True, help="comma list of sweep points")
     sweep.add_argument("--format", choices=("json", "csv"), default="csv")
-    sweep.set_defaults(func=cmd_sweep)
 
     verify = subs.add_parser("verify", help="run the consistency suite")
     _add_common(verify)
-    verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ViabilityViolation as exc:
         print(f"ViabilityViolation: {exc}", file=sys.stderr)
         return 1

@@ -273,17 +273,24 @@ def rollout(graph: Graph, y0: int, policy: Policy, steps: int) -> Trajectory:
     if steps < 1:
         raise ValueError("need at least one step")
     pick = (lambda y: int(policy[y])) if isinstance(policy, np.ndarray) else policy
+    # pair_of[y][u] is the pair index of (y, u), -1 where inadmissible
+    n, K = graph.n_states, graph.problem.n_actions
+    table = np.full((n, K), -1, dtype=int)
+    table[graph.pair_state, graph.pair_action] = np.arange(graph.n_pairs)
+    pair_of = table.tolist()
+    succ = graph.pair_succ.tolist()
     pairs = np.empty(steps, dtype=int)
     y = int(y0)
     for t in range(steps):
         u = int(pick(y))
-        g = graph.pair_index(y, u)
+        # a negative index would wrap, so only in-range (y, u) are looked up
+        g = pair_of[y][u] if 0 <= y < n and 0 <= u < K else -1
         if g < 0:
             raise InadmissibleAction(
                 f"action {u} is not admissible in state {y} at step {t}"
             )
         pairs[t] = g
-        y = int(graph.pair_succ[g])
+        y = succ[g]
     return Trajectory.from_pairs(graph, pairs)
 
 

@@ -186,26 +186,32 @@ def snap_dynamics(
     and snapping such points would silently change the dynamics.
 
     Returns the (n, K) successor table; costs are the caller's business.
+    f is called once per (state, action), in row-major order; the nearest
+    states are then found for all images of one action at once.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise ValueError("states must be a 2-D array of coordinates")
-    n = states.shape[0]
+    n, m = states.shape
     lo = states.min(axis=0)
     hi = states.max(axis=0)
-    succ = np.full((n, len(actions)), -1, dtype=int)
+    images = np.empty((n, len(actions), m))
     for y in range(n):
         for a_idx, a in enumerate(actions):
             image = np.asarray(f(states[y], a), dtype=float).reshape(-1)
-            if image.shape != (states.shape[1],):
+            if image.shape != (m,):
                 raise ValueError(
                     f"f(state {y}, {a!r}) has shape {image.shape}, "
-                    f"expected ({states.shape[1]},)"
+                    f"expected ({m},)"
                 )
-            if np.any(image < lo) or np.any(image > hi):
-                continue
-            d2 = np.sum((states - image) ** 2, axis=1)
-            succ[y, a_idx] = int(np.argmin(d2))  # argmin takes the lowest index on ties
+            images[y, a_idx] = image
+    outside = np.any(images < lo, axis=2) | np.any(images > hi, axis=2)
+    succ = np.empty((n, len(actions)), dtype=int)
+    for a_idx in range(len(actions)):
+        # d2[y, z] is the squared distance from image (y, a) to state z
+        d2 = np.sum((states[None, :, :] - images[:, a_idx, None, :]) ** 2, axis=2)
+        succ[:, a_idx] = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
+    succ[outside] = -1
     return succ
 
 

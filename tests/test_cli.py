@@ -2,6 +2,10 @@
 command, exit codes, and determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -593,3 +597,102 @@ class TestProjectionSweeps:
         assert code in (0, 3), err
         if code == 3:
             assert err.startswith("solver failed:"), err
+
+
+_SOLVE = ["solve", "--problem", "threestate", "--y0", "0"]
+_SWEEP = ["sweep", "--problem", "toy", "--y0", "15", "--sweep", "alpha", "--values", "0.9,0.99"]
+_VERIFY = ["verify", "--problem", "threestate", "--y0", "1"]
+
+
+class TestOutMatchesStdout:
+    """--out writes byte for byte what stdout prints, final newline included."""
+
+    @pytest.mark.parametrize(
+        "argv", [_SOLVE, [*_SOLVE, "--format", "csv"], _SWEEP, _VERIFY], ids=" ".join
+    )
+    def test_file_equals_stdout(self, capsys, tmp_path, argv):
+        code, out = _run(capsys, argv)
+        assert code == 0 and out.endswith("\n")
+        target = tmp_path / "report"
+        code, rest = _run(capsys, [*argv, "--out", str(target)])
+        assert code == 0 and rest == ""
+        assert target.read_bytes() == out.encode()
+
+
+def _alone(argv):
+    """(exit code, stdout, stderr) of argv run in a fresh interpreter."""
+    src = str(pathlib.Path(lrac.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrac.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """main builds its parser once per process and finds the command
+    function by name when it is called."""
+
+    def test_sequence_matches_fresh_runs(self, capsys):
+        usage = ["sweep", "--problem", "toy", "--y0", "0", "--sweep", "bogus", "--values", "1"]
+        for argv in (_SOLVE, _SWEEP, _VERIFY, usage, _SOLVE):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == _alone(argv), argv
+        assert lrac.cli._build_parser.cache_info().misses <= 1
+
+    def test_dispatch_sees_rebound_command(self, capsys, monkeypatch):
+        assert main(_SOLVE) == 0
+        capsys.readouterr()
+        seen = []
+
+        def fake(args):
+            seen.append(args.y0)
+            return 7
+
+        monkeypatch.setattr(lrac.cli, "cmd_verify", fake)
+        assert main(_VERIFY) == 7
+        assert seen == [1]
+        assert capsys.readouterr().out == ""
+
+
+class TestBasisOnlyWhenProjecting:
+    """sweep builds the test-function basis the first time a row's measure
+    is off W, and never when every row is a member."""
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            ("--problem toy --y0 15 --sweep theta --values 0,0.05,0.1", 0),
+            ("--problem threestate --y0 0 --sweep theta --values 0,0.05,0.1", 0),
+            ("--problem random --states 20 --seed 0 --y0 0 --sweep theta --values 0,0.05,0.1", 0),
+            ("--problem toy --y0 0 --sweep alpha --values 0.9,0.99,0.999", 0),
+            ("--problem toy --y0 15 --sweep alpha --values 0.9,0.99,0.999", 1),
+        ],
+    )
+    def test_build_count(self, capsys, monkeypatch, argv, builds):
+        real = lrac.cli.chebyshev_basis
+        calls = []
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph.n_states)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(lrac.cli, "chebyshev_basis", counting)
+        code, _ = _run(capsys, ["sweep", *argv.split()])
+        assert code == 0
+        assert len(calls) == builds
+
+    def test_projected_rows_unchanged(self, capsys):
+        # all three rows are off W; these distances are the ones printed
+        # when the basis was built up front for every sweep
+        code, out = _run(capsys, ["sweep", *_SWEEP[1:-1], "0.9,0.99,0.999"])
+        assert code == 0
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == [
+            "0.00705738705739",
+            "0.000705738705739",
+            "7.05738705739e-05",
+        ]

@@ -247,6 +247,52 @@ class TestPoliciesAndRollouts:
         assert average_cost(traj) == pytest.approx(2.0)
 
 
+def _rollout_loop(graph, y0, policy, steps):
+    """Pairs of a rollout found by one pair_index search per step: the
+    reference for rollout's lookup table."""
+    pairs, y = [], y0
+    for t in range(steps):
+        u = int(policy[y])
+        g = graph.pair_index(y, u)
+        if g < 0:
+            raise InadmissibleAction(f"action {u} is not admissible in state {y} at step {t}")
+        pairs.append(g)
+        y = int(graph.pair_succ[g])
+    return pairs
+
+
+class TestRolloutMatchesLoop:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_pairs(self, seed):
+        g = build_graph(random_problem(15, 3, seed))
+        rng = np.random.default_rng(seed)
+        # a random admissible action per state, and the greedy policy
+        random_policy = np.array(
+            [g.pair_action[rng.choice(g.pairs_of_state(y))] for y in range(g.n_states)]
+        )
+        greedy = greedy_policy(g, value_iteration_discounted(g, 0.9))
+        for policy in (random_policy, greedy):
+            for y0 in (0, 7, 14):
+                traj = rollout(g, y0, policy, 40)
+                assert traj.pairs.tolist() == _rollout_loop(g, y0, policy, 40)
+
+    @pytest.mark.parametrize("u", [-1, 2])
+    def test_out_of_range_action(self, threestate_graph, u):
+        # state 0 admits both actions, so a wrapped -1 would find action 1
+        policy = np.array([u, 0, 0])
+        with pytest.raises(InadmissibleAction) as got:
+            rollout(threestate_graph, 0, policy, 3)
+        with pytest.raises(InadmissibleAction) as want:
+            _rollout_loop(threestate_graph, 0, policy, 3)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"action {u} is not admissible in state 0 at step 0"
+
+    def test_inadmissible_after_steps(self, threestate_graph):
+        # 0 -(b)-> 2, where action b is inadmissible
+        with pytest.raises(InadmissibleAction, match="in state 2 at step 1$"):
+            rollout(threestate_graph, 0, np.array([1, 0, 1]), 3)
+
+
 class TestTrajectoryAndPeriodicProcess:
     def test_trajectory_needs_matching_lengths(self, threestate_graph):
         g = threestate_graph

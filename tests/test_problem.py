@@ -136,6 +136,90 @@ class TestSnapDynamics:
                 assert grid[z] == float(label) * grid[y]
 
 
+def _snap_loop(states, actions, f):
+    """Per-point nearest-state search: the reference for snap_dynamics."""
+    states = np.asarray(states, dtype=float)
+    n = states.shape[0]
+    lo, hi = states.min(axis=0), states.max(axis=0)
+    succ = np.full((n, len(actions)), -1, dtype=int)
+    for y in range(n):
+        for a_idx, a in enumerate(actions):
+            image = np.asarray(f(states[y], a), dtype=float).reshape(-1)
+            if image.shape != (states.shape[1],):
+                raise ValueError(
+                    f"f(state {y}, {a!r}) has shape {image.shape}, "
+                    f"expected ({states.shape[1]},)"
+                )
+            if np.any(image < lo) or np.any(image > hi):
+                continue
+            succ[y, a_idx] = int(np.argmin(np.sum((states - image) ** 2, axis=1)))
+    return succ
+
+
+_GRID_2D = np.array([[i, j] for i in range(5) for j in range(4)], dtype=float)
+
+
+def _half_steps(y, a):
+    # half-integer images sit at equal distance from two or four states;
+    # "out" leaves the box along one coordinate only
+    step = {"ne": (0.5, 0.5), "e": (0.5, 0.0), "n": (0.0, 1.5), "out": (0.0, 2.5)}[a]
+    return y + np.array(step)
+
+
+class TestSnapMatchesLoop:
+    @pytest.mark.parametrize(
+        "states, actions, f",
+        [
+            (
+                toy_problem().states,
+                ("-1", "+1"),
+                lambda y, a: float(a) * y,
+            ),
+            (_GRID_2D, ("ne", "e", "n", "out"), _half_steps),
+            (
+                np.linspace(-1.0, 1.0, 9)[:, None],
+                ("half", "shift"),
+                lambda y, a: 0.5 * y if a == "half" else y + 0.3,
+            ),
+        ],
+        ids=["toy", "grid-2d-ties", "outside-box"],
+    )
+    def test_same_table(self, states, actions, f):
+        got = snap_dynamics(states, actions, f)
+        assert got.dtype == int
+        assert np.array_equal(got, _snap_loop(states, actions, f))
+
+    def test_grid_exercises_ties_and_exits(self):
+        succ = snap_dynamics(_GRID_2D, ("ne", "e", "n", "out"), _half_steps)
+        # (0, 0) + (0.5, 0.5) is equidistant from four states: the lowest wins
+        assert succ[0, 0] == 0
+        assert (succ == -1).any() and (succ >= 0).any()
+
+    def test_calls_f_once_per_pair_in_order(self):
+        grid = np.array([[0.0], [1.0], [2.0]])
+        calls = []
+
+        def f(y, a):
+            calls.append((float(y[0]), a))
+            return y
+
+        snap_dynamics(grid, ("p", "q"), f)
+        assert calls == [(y, a) for y in (0.0, 1.0, 2.0) for a in ("p", "q")]
+
+    def test_shape_error_unchanged(self):
+        grid = np.array([[0.0, 0.0], [1.0, 1.0]])
+
+        def f(y, a):
+            return y if (y[0], a) != (1.0, "b") else np.zeros(3)
+
+        messages = []
+        for snap in (snap_dynamics, _snap_loop):
+            with pytest.raises(ValueError) as exc:
+                snap(grid, ("a", "b"), f)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == "f(state 1, 'b') has shape (3,), expected (2,)"
+
+
 class TestJsonSchema:
     def test_round_trip(self, tmp_path):
         p = threestate_problem()

@@ -150,6 +150,15 @@ def _horizon_trajectory(graph, y0: int, policy: np.ndarray) -> Trajectory:
     return Trajectory.from_pairs(graph, pairs)
 
 
+def _discounted_measure(graph, y0: int, alpha: float):
+    """h_alpha, and the discounted measure of its greedy policy's run from y0."""
+    vf = value_iteration_discounted(graph, alpha)
+    # The run's prefix is under n steps and its period at most n, and
+    # detect_cycle needs two full periods after the prefix: 3n + 8 covers that.
+    traj = rollout(graph, y0, greedy_policy(graph, vf), 3 * graph.n_states + 8)
+    return vf, discounted_occupational_measure(traj, alpha)
+
+
 def _chain(graph, y0: int, primal, horizons) -> list[tuple[int, float, float, float]]:
     """(T, lower, V_T, upper) bracket rows, one per horizon.
 
@@ -211,7 +220,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "sup_over_K": primal.as_q_form().value,
         "v_per": cycle.to_dict(),
         "certificate": cert.to_dict(),
-        "cap_dual": primal.cap_dual,
         "feedback": [int(u) for u in feedback],
         "feedback_actions": [problem.actions[int(u)] for u in feedback],
         "chain": chain,
@@ -254,11 +262,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             dist = distance_to_W(occupational_measure(traj))
             rows.append([float(T), value, value - d_star, dist])
     elif args.sweep == "alpha":
-        steps = 3 * problem.n_states + 8
         for alpha in sorted(set(_parse_floats(args.values))):
-            vf = value_iteration_discounted(graph, alpha)
-            traj = rollout(graph, y0, greedy_policy(graph, vf), steps)
-            m = discounted_occupational_measure(traj, alpha)
+            vf, m = _discounted_measure(graph, y0, alpha)
             dist = distance_to_W(m)
             rows.append([alpha, vf(y0), vf(y0) - d_star, dist])
     else:
@@ -287,7 +292,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(_verify_table(results), args.out)
         return 1
     y0 = _start_state(args, problem)
-    n = problem.n_states
     scale = 1.0 + graph.cost_bound
 
     primal = solve_primal(graph, y0)
@@ -327,9 +331,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
 
     alpha = 0.9
-    vf = value_iteration_discounted(graph, alpha)
-    traj = rollout(graph, y0, greedy_policy(graph, vf), 3 * n + 8)
-    m = discounted_occupational_measure(traj, alpha)
+    _, m = _discounted_measure(graph, y0, alpha)
     res_d = discounted_residual(m, alpha, y0)
     results.append(
         (

@@ -200,6 +200,12 @@ def value_iteration_avg(
     return (vf, policy) if want_policy else vf
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a discount factor outside the open interval (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+
+
 def value_iteration_discounted(
     graph: Graph, alpha: float, tol: float = 1e-10
 ) -> ValueFunction:
@@ -215,8 +221,7 @@ def value_iteration_discounted(
     included.  Raises RuntimeError if the rounds exceed a cap that a
     working loop never reaches.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = graph.n_states

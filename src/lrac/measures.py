@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dp import Trajectory
+from .dp import Trajectory, _check_alpha
 from .problem import Graph
 
 __all__ = [
@@ -150,8 +150,7 @@ def discounted_occupational_measure(traj: Trajectory, alpha: float) -> Occupatio
     measure only on the steps past the S recorded ones, which carry total
     weight alpha^S; nothing here checks that this is small.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     t0, p = detect_cycle(traj.pairs)
     g = traj.graph
     weights = np.zeros(g.n_pairs)
@@ -319,8 +318,7 @@ def discounted_residual(
     """Largest per-state violation of the discounted balance
     alpha * inflow(z) - marginal(z) + (1 - alpha) * [z == y0] = 0.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     balance = alpha * state_inflow(measure) - state_marginal(measure)
     balance[y0] += 1.0 - alpha
     return float(np.max(np.abs(balance)))

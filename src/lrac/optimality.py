@@ -219,6 +219,8 @@ def cost_gap_identity(
     if int(process.states[0]) != int(y0):
         raise ValueError("trajectory does not start at y0")
     eta = np.asarray(getattr(eta, "values", eta), dtype=float)
+    if eta.shape != (process.graph.n_states,):
+        raise ValueError("eta must assign a value to every state")
     value = _value_at(V, y0)
     drift = (eta[process.states[T]] - eta[y0]) / T
     avg = float(np.sum(process.costs[:T])) / T

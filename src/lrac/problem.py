@@ -181,9 +181,10 @@ def snap_dynamics(
 
     For each state y and action label a, the image f(y, a) is snapped to the
     nearest state by Euclidean distance, ties going to the lower state
-    index.  Images outside the bounding box of the state set mark the pair
-    inadmissible (successor -1): leaving the box is leaving the state set,
-    and snapping such points would silently change the dynamics.
+    index.  Images outside the bounding box of the state set, an infinite
+    coordinate included, mark the pair inadmissible (successor -1): leaving
+    the box is leaving the state set, and snapping such points would
+    silently change the dynamics.  A NaN coordinate raises ValueError.
 
     Returns the (n, K) successor table; costs are the caller's business.
     f is called once per (state, action), in row-major order; the nearest
@@ -204,6 +205,8 @@ def snap_dynamics(
                     f"f(state {y}, {a!r}) has shape {image.shape}, "
                     f"expected ({m},)"
                 )
+            if np.isnan(image).any():
+                raise ValueError(f"f(state {y}, {a!r}) has a NaN coordinate")
             images[y, a_idx] = image
     outside = np.any(images < lo, axis=2) | np.any(images > hi, axis=2)
     succ = np.empty((n, len(actions)), dtype=int)

@@ -19,24 +19,25 @@ potential corrections, psi nondecreasing along the dynamics up to theta:
                psi(f(y,u)) - psi(y) >= -theta.
 
 It is the LP dual of the measure program, so one simplex solve of the
-measure program yields both sides.  Its rows are, in order, the mass
-row, stationarity for z = 0..n-1, transfer for z = 0..n-1 and a cap on
-the flow mass, kept at every theta; with y the row duals (b'y equal to
-the objective), the optimal certificate is
+measure program yields both sides.  solve_primal builds exactly the
+program above: 2n + 1 rows (the mass row, stationarity for z = 0..n-1,
+transfer for z = 0..n-1) over the 2P columns (gamma, xi), unbounded in
+xi but with objective at least min k.  With y the row duals (b'y equal
+to the objective), the optimal certificate is
 
-    mu = y[0],   eta = -y[1 : n+1],   psi = -y[n+1 : 2n+1],
+    mu = y[0],   eta = -y[1 : n+1],   psi = -y[n+1 :];
 
-and the cap row's dual is zero because its slack stays basic.  Only
-solve_primal builds a tableau; solve_dual and solve_q_form are views of
-its result.
+the optimum is degenerate, so another pivot path may return another,
+equally valid one.  Only solve_primal builds a tableau; solve_dual and
+solve_q_form are views of its result.
 
 On a finite graph both optimal values agree with the minimum mean cost
 over cycles reachable from y0, which v_per reads off dp's recursion.
 For theta > 0 the measure program's minimum still sits at gamma uniform
 on one reachable cycle C, with xi carrying the unit of mass from y0
-along shortest hop paths, so the cap never binds; k_star_theta reads
-that value as the minimum mean of k + theta * hop(y0, .) over reachable
-cycles, off the same recursion.
+along shortest hop paths; k_star_theta reads that value as the minimum
+mean of k + theta * hop(y0, .) over reachable cycles, off the same
+recursion.
 The q-form program is the dual with mu eliminated, maximizing psi(y0):
 
     maximize   psi(y0)
@@ -86,7 +87,6 @@ __all__ = [
     "k_star_theta",
     "solve_dual",
     "solve_q_form",
-    "sup_over_K",
     "ergodic_inner_lp",
     "k_membership",
     "v_per",
@@ -132,7 +132,6 @@ class PrimalResult:
 
     value: float
     pair: PrimalPair
-    cap_dual: float
     iterations: int
     residuals: dict[str, float]
     cert: DualCertificate
@@ -143,7 +142,6 @@ class PrimalResult:
             "value": float(self.value),
             "gamma": [float(w) for w in self.pair.gamma.weights],
             "xi": [float(w) for w in self.pair.xi.weights],
-            "cap_dual": float(self.cap_dual),
             "iterations": self.iterations,
             "residuals": self.residuals,
         }
@@ -233,13 +231,10 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
     """Minimum expected cost over stationary measures reachable from y0,
     the transfer flow priced at theta per unit.
 
-    A cap <1, xi> <= n_states * n_pairs (far above what any transfer
-    needs) keeps the feasible region bounded at theta = 0 and is kept at
-    every theta; the cap's dual multiplier is reported and should be zero
-    at any optimum.  The result also carries the optimal certificate, read
-    off the row duals (see the module docstring).  A gamma or xi that
-    misses its sign or mass constraint by more than roundoff raises
-    simplex.InaccurateSolution.  k_star_theta gives the same value at
+    The program is the module docstring's, row for row, and the result
+    also carries the optimal certificate read off its row duals.  A gamma
+    or xi that misses its sign or mass constraint by more than roundoff
+    raises simplex.InaccurateSolution.  k_star_theta gives the same value at
     every theta without a program, so the commands run this one only
     where they read the certificate.
 
@@ -251,19 +246,17 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
     n, P = graph.n_states, graph.n_pairs
     M = graph.cost_bound or 1.0
     marg, inflow = _incidence(graph)
-    A = np.zeros((2 * n + 2, 2 * P + 1))  # columns gamma, xi, cap slack
-    b = np.zeros(2 * n + 2)
-    c = np.zeros(2 * P + 1)
+    A = np.zeros((2 * n + 1, 2 * P))  # columns gamma, xi
+    b = np.zeros(2 * n + 1)
+    c = np.zeros(2 * P)
     c[:P] = graph.pair_cost / M
-    c[P : 2 * P] = theta / M
+    c[P:] = theta / M
     A[0, :P] = 1.0
     b[0] = 1.0
     A[1 : n + 1, :P] = inflow - marg
-    A[n + 1 : 2 * n + 1, :P] = -marg
+    A[n + 1 :, :P] = -marg
     A[n + 1 + y0, :P] += 1.0  # [z = y0] enters through the total mass of gamma
-    A[n + 1 : 2 * n + 1, P : 2 * P] = inflow - marg
-    A[2 * n + 1, P:] = 1.0
-    b[2 * n + 1] = float(n * P)
+    A[n + 1 :, P:] = inflow - marg
     lp = simplex.LinearProgram(c=c, A=A, b=b)
     sol = simplex.solve(lp)
     if sol.status != "optimal":
@@ -272,18 +265,17 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
         )
     try:
         gamma = OccupationalMeasure(graph=graph, weights=sol.x[:P])
-        xi = FlowMeasure(graph=graph, weights=sol.x[P : 2 * P])
+        xi = FlowMeasure(graph=graph, weights=sol.x[P:])
     except ValueError as exc:
         worst = max(-float(sol.x.min()), abs(float(sol.x[:P].sum()) - 1.0))
         raise simplex.InaccurateSolution(
             f"measure program's (gamma, xi) misses its constraints by {worst:.3g} ({exc})"
         ) from None
     y = sol.y * M
-    cert = DualCertificate(mu=float(y[0]), psi=-y[n + 1 : 2 * n + 1], eta=-y[1 : n + 1])
+    cert = DualCertificate(mu=float(y[0]), psi=-y[n + 1 :], eta=-y[1 : n + 1])
     return PrimalResult(
         value=float(sol.objective) * M,
         pair=PrimalPair(gamma=gamma, xi=xi),
-        cap_dual=float(y[2 * n + 1]),
         iterations=sol.iterations,
         residuals=simplex.kkt_residuals(lp, sol),
         cert=cert,
@@ -317,16 +309,6 @@ def solve_q_form(graph: Graph, y0: int, theta: float = 0.0) -> QFormResult:
     Its optimum is the measure program's certificate with psi shifted.
     """
     return solve_primal(graph, y0, theta).as_q_form()
-
-
-def sup_over_K(graph: Graph, y0: int) -> float:
-    """Largest w(y0) over the feasible set of k_membership.
-
-    Computed as the q-form value at theta = 0: the eta search inside that
-    program is exactly the nonnegative-expected-slack condition by finite
-    duality.
-    """
-    return solve_q_form(graph, y0, 0.0).value
 
 
 def ergodic_inner_lp(graph: Graph, w) -> ErgodicInnerResult:

@@ -30,8 +30,9 @@ several are optimal.
 The tableau is never refactorized, so pivots can leave roundoff in it.
 After phase 2 one matvec checks A x = b.  Only on a miss above FEAS_TOL
 are the basic values re-read from the final basis's columns by one linear
-solve; a basic value below -FEAS_TOL then raises InaccurateSolution, the
-others are clamped at zero, and the row duals stay the tableau's.
+solve; a singular final basis or a basic value below -FEAS_TOL then
+raises InaccurateSolution, the others are clamped at zero, and the row
+duals stay the tableau's.
 """
 
 from __future__ import annotations
@@ -308,7 +309,11 @@ def solve(
     x_ext = np.zeros(N + m)
     x_ext[basis] = Tb[:m, -1]
     if np.max(np.abs(A @ x_ext[:N] - b), initial=0.0) > FEAS_TOL:
-        x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, basis], b)
+        try:
+            x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, basis], b)
+        except np.linalg.LinAlgError as exc:
+            # LinAlgError is a ValueError, which the CLI reads as bad input
+            raise InaccurateSolution(f"final basis cannot be re-read: {exc}") from None
         worst = float(x_B.min(initial=0.0))
         if worst < -FEAS_TOL:
             raise InaccurateSolution(f"final basis is not primal feasible: basic value {worst:.3g}")

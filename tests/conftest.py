@@ -15,7 +15,6 @@ from lrac import (
     random_problem,
     threestate_problem,
     toy_problem,
-    solve_dual,
     solve_primal,
     value_iteration_avg,
 )
@@ -62,13 +61,12 @@ def value_panel(random_graphs):
         vfs = {T: value_iteration_avg(graph, T) for T in CHAIN_HORIZONS}
         rows = []
         for y0 in range(n):
-            dual = solve_dual(graph, y0)
             primal = solve_primal(graph, y0)
-            eta = dual.cert.eta
+            eta = primal.cert.eta
             reach = reachable_states(graph, y0)[0]
             rows.append(
                 {
-                    "d": dual.value,
+                    "d": primal.cert.mu,
                     "eta_span": float(np.max(eta[reach]) - eta[y0]),
                     "k": primal.value,
                     "xi_mass": float(np.sum(primal.pair.xi.weights)),

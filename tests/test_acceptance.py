@@ -32,7 +32,6 @@ from lrac import (
     solve_dual,
     solve_primal,
     solve_q_form,
-    sup_over_K,
     threestate_problem,
     toy_problem,
     v_per,
@@ -250,7 +249,7 @@ def test_09_cone_representation(toy_graph, threestate_graph, random_graphs, repo
             checks += 1
             res = solve_q_form(graph, y0)
             d = solve_dual(graph, y0).value
-            if abs(sup_over_K(graph, y0) - d) > 1e-7 * scale:
+            if abs(res.value - d) > 1e-7 * scale:
                 bad += 1
             elif not k_membership(graph, res.psi):
                 bad += 1

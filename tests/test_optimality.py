@@ -232,3 +232,10 @@ class TestCostGapIdentity:
         traj = rollout(threestate_graph, 2, lambda y: 0, 4)
         with pytest.raises(ValueError):
             cost_gap_identity(traj, np.zeros(3), 4.0, 0, 4)
+
+    @pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
+    def test_eta_length_checked(self, threestate_graph, length):
+        # the same mistake extract_feedback rejects
+        traj = rollout(threestate_graph, 2, lambda y: 0, 4)
+        with pytest.raises(ValueError, match="eta must assign a value to every state"):
+            cost_gap_identity(traj, np.zeros(length), 4.0, 2, 4)

@@ -122,6 +122,23 @@ class TestSnapDynamics:
         succ = snap_dynamics(grid, ("up",), lambda y, a: y + 2.0)
         assert succ[0, 0] == -1 and succ[1, 0] == -1
 
+    def test_nan_image_is_rejected(self):
+        grid = np.array([[0.0], [1.0]])
+        with pytest.raises(ValueError, match=r"f\(state 0, 'a'\) has a NaN coordinate"):
+            snap_dynamics(grid, ("a",), lambda y, a: np.array([np.nan]))
+
+        def f(y, a):
+            return np.array([y[0], np.nan]) if (y[0], a) == (1.0, "b") else y
+
+        with pytest.raises(ValueError, match=r"f\(state 1, 'b'\) has a NaN coordinate"):
+            snap_dynamics(np.array([[0.0, 0.0], [1.0, 1.0]]), ("a", "b"), f)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "-inf"])
+    def test_infinite_image_is_inadmissible(self, sign):
+        grid = np.array([[0.0], [1.0]])
+        succ = snap_dynamics(grid, ("a",), lambda y, a: np.array([sign * np.inf]))
+        assert succ[:, 0].tolist() == [-1, -1]
+
     def test_tie_snaps_to_lower_index(self):
         grid = np.array([[0.0], [1.0]])
         succ = snap_dynamics(grid, ("mid",), lambda y, a: np.array([0.5]))

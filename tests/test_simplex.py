@@ -23,7 +23,7 @@ from lrac import (
     value_iteration_avg,
     value_iteration_discounted,
 )
-from lrac.cli import _horizon_trajectory
+from lrac.cli import _horizon_trajectory, main
 
 
 def _assert_kkt(lp, sol, tol=1e-8):
@@ -323,15 +323,23 @@ class TestLexicographic:
         assert abs(sol.objective - ref.fun) <= 1e-9
 
 
+def _reread_measure():
+    # The projection of the T = 64 horizon measure of random n = 30, seed 1,
+    # from y0 = 1 misses A x = b through tableau roundoff, so its basic
+    # values are re-read from the final basis.
+    graph = build_graph(random_problem(30, 3, 1))
+    _, policy = value_iteration_avg(graph, 64, want_policy=True)
+    return graph, occupational_measure(_horizon_trajectory(graph, 1, policy))
+
+
+def _singular(B, rhs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 class TestFinalBasisReread:
     def test_negative_basic_value_is_a_solver_failure(self, monkeypatch):
-        # The projection of the T = 64 horizon measure of random n = 30,
-        # seed 1, from y0 = 1 misses A x = b through tableau roundoff, so
-        # its basic values are re-read from the final basis; one read
-        # below -FEAS_TOL must not be clamped away.
-        graph = build_graph(random_problem(30, 3, 1))
-        _, policy = value_iteration_avg(graph, 64, want_policy=True)
-        measure = occupational_measure(_horizon_trajectory(graph, 1, policy))
+        # one read below -FEAS_TOL must not be clamped away
+        graph, measure = _reread_measure()
         real = np.linalg.solve
 
         def low(B, rhs):
@@ -342,3 +350,21 @@ class TestFinalBasisReread:
         monkeypatch.setattr(np.linalg, "solve", low)
         with pytest.raises(InaccurateSolution, match="final basis is not primal feasible"):
             project_to_W(measure, chebyshev_basis(graph))
+
+    def test_singular_basis_is_a_solver_failure(self, monkeypatch):
+        # LinAlgError is a ValueError, which the CLI would report as a usage error
+        graph, measure = _reread_measure()
+        monkeypatch.setattr(np.linalg, "solve", _singular)
+        with pytest.raises(InaccurateSolution, match="Singular matrix"):
+            project_to_W(measure, chebyshev_basis(graph))
+
+    def test_singular_basis_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "solve", _singular)
+        argv = [
+            "sweep", "--problem", "random", "--states", "30", "--seed", "1",
+            "--y0", "1", "--sweep", "T", "--values", "64",
+        ]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver failed: InaccurateSolution: ")

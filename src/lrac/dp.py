@@ -222,7 +222,7 @@ def value_iteration_discounted(
     working loop never reaches.
     """
     _check_alpha(alpha)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     n = graph.n_states
     rows = np.arange(n)

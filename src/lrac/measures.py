@@ -53,23 +53,30 @@ class NoCycleDetected(ValueError):
     """Raised when a trajectory never settles into a repeating pair pattern."""
 
 
+def _checked_weights(graph: Graph, weights) -> np.ndarray:
+    """Pair weights as a read-only array clamped at zero; raises ValueError
+    unless there is one finite entry >= -1e-12 per admissible pair."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (graph.n_pairs,):
+        raise ValueError("weights must have one entry per admissible pair")
+    if np.min(w) < -1e-12 or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be nonnegative and finite")
+    w = np.maximum(w, 0.0)
+    w.setflags(write=False)
+    return w
+
+
 @dataclass(frozen=True)
 class OccupationalMeasure:
-    """Nonnegative pair weights summing to one."""
+    """Nonnegative finite pair weights summing to one."""
 
     graph: Graph
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.graph.n_pairs,):
-            raise ValueError("weights must have one entry per admissible pair")
-        if np.min(w) < -1e-12:
-            raise ValueError("weights must be nonnegative")
+        w = _checked_weights(self.graph, self.weights)
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to one")
-        w = np.maximum(w, 0.0)
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
 
@@ -81,14 +88,7 @@ class FlowMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.graph.n_pairs,):
-            raise ValueError("weights must have one entry per admissible pair")
-        if np.min(w) < -1e-12 or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be nonnegative and finite")
-        w = np.maximum(w, 0.0)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _checked_weights(self.graph, self.weights))
 
     @property
     def total(self) -> float:
@@ -356,7 +356,7 @@ def measure_from_json(
 ) -> OccupationalMeasure | FlowMeasure:
     """Inverse of measure_to_json; kind is "occupational" or "flow".  Raises
     ValueError unless text is a JSON object mapping distinct pair indices,
-    written as measure_to_json writes them, to numbers."""
+    written as measure_to_json writes them, to finite numbers."""
     classes = {"occupational": OccupationalMeasure, "flow": FlowMeasure}
     if kind not in classes:
         raise ValueError(f"kind must be 'occupational' or 'flow', not {kind!r}")

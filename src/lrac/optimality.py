@@ -15,6 +15,9 @@ certificate itself is optimal.  The eta potential doubles as a relative
 value function: greedy minimization of k + eta(f) recovers an optimal
 feedback, and eta's drift accounts exactly for the gap between finite
 horizon averages and the limit value.
+
+The checks take V(y0) as a plain number and psi and eta as arrays with one
+finite entry per state; any other array raises ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import PeriodicProcess, Trajectory, _segment_argmin_pair, _segment_min
-from .problem import Graph
+from .problem import Graph, _per_state
 from .programs import DualCertificate
 
 __all__ = [
@@ -43,15 +46,6 @@ class InfeasibleCertificate(ValueError):
     """The supplied (mu, psi, eta) violates the lower-bound constraints."""
 
 
-def _value_at(V, y0: int) -> float:
-    """Read V(y0) from a value function, a per-state array, or a scalar."""
-    if np.isscalar(V):
-        return float(V)
-    if callable(V):
-        return float(V(y0))
-    return float(np.asarray(V, dtype=float)[y0])
-
-
 def certificate_residuals(
     graph: Graph, y0: int, cert: DualCertificate, theta: float = 0.0
 ) -> dict[str, float]:
@@ -61,7 +55,8 @@ def certificate_residuals(
     below zero anywhere on the graph.  monotone_slack: how far
     psi(f) - psi(y) dips below -theta.
     """
-    psi, eta = cert.psi, cert.eta
+    psi = _per_state(graph, cert.psi, "psi")
+    eta = _per_state(graph, cert.eta, "eta")
     slack = (
         graph.pair_cost
         + psi[y0]
@@ -81,9 +76,10 @@ def _condition_residuals(
     graph: Graph, pairs: np.ndarray, y0: int, cert: DualCertificate, value: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step residuals of the two optimality conditions along a pair
-    sequence: tightness of the certificate inequality against V(y0), and
-    flatness of psi."""
-    psi, eta = cert.psi, cert.eta
+    sequence: tightness of the certificate inequality against the value
+    at y0, and flatness of psi."""
+    psi = _per_state(graph, cert.psi, "psi")
+    eta = _per_state(graph, cert.eta, "eta")
     s = graph.pair_state[pairs]
     t = graph.pair_succ[pairs]
     tight = np.abs(
@@ -96,14 +92,14 @@ def _condition_residuals(
 def check_sufficient(
     process: Trajectory,
     cert: DualCertificate,
-    V,
+    V: float,
     y0: int,
     tol: float = 1e-7,
 ) -> bool:
     """Whether the recorded steps of a trajectory satisfy both optimality
-    conditions for the given certificate and value.
+    conditions for the given certificate and value V at y0.
 
-    True means the process attains the long-run average V(y0); tightness
+    True means the process attains the long-run average V; tightness
     at every step makes the running cost telescope against eta.  Raises
     InfeasibleCertificate when the certificate itself violates the
     lower-bound constraints beyond tol, since the conditions certify
@@ -118,8 +114,7 @@ def check_sufficient(
         raise InfeasibleCertificate(
             f"certificate violates the constraints by {worst:.3e}"
         )
-    value = _value_at(V, y0)
-    tight, flat = _condition_residuals(graph, process.pairs, y0, cert, value)
+    tight, flat = _condition_residuals(graph, process.pairs, y0, cert, float(V))
     return bool(tight.max() <= tol and flat.max() <= tol)
 
 
@@ -156,21 +151,22 @@ class NecessityReport:
 def check_necessary_periodic(
     process: PeriodicProcess,
     cert: DualCertificate,
-    V,
+    V: float,
     y0: int,
     tol: float = 1e-7,
 ) -> NecessityReport:
     """Test the necessary optimality conditions on a periodic process.
 
-    The report records the mean cycle cost, whether it matches V(y0), and
-    the per-step condition residuals over the prefix and one cycle.  For a
-    process periodic from time zero, optimality of both the process and
-    the certificate forces the conditions to hold; the inconsistent flag
-    marks a violation of exactly that implication, so it stays False when
-    the process needs a transient prefix or either side is suboptimal.
+    The report records the mean cycle cost, whether it matches the value
+    V at y0, and the per-step condition residuals over the prefix and one
+    cycle.  For a process periodic from time zero, optimality of both the
+    process and the certificate forces the conditions to hold; the
+    inconsistent flag marks a violation of exactly that implication, so it
+    stays False when the process needs a transient prefix or either side is
+    suboptimal.
     """
     graph = process.graph
-    value = _value_at(V, y0)
+    value = float(V)
     mean = process.mean_cycle_cost
     pairs = np.concatenate([process.prefix_pairs, process.cycle_pairs])
     tight, flat = _condition_residuals(graph, pairs, y0, cert, value)
@@ -194,22 +190,22 @@ def check_necessary_periodic(
 
 
 def extract_feedback(graph: Graph, eta: np.ndarray) -> np.ndarray:
-    """Greedy feedback from a relative value function: per state, the
-    lowest-index action minimizing k(y, u) + eta(f(y, u))."""
-    eta = np.asarray(getattr(eta, "values", eta), dtype=float)
-    if eta.shape != (graph.n_states,):
-        raise ValueError("eta must assign a value to every state")
+    """Greedy feedback from a relative value function, given as one value
+    per state: per state, the lowest-index action minimizing
+    k(y, u) + eta(f(y, u))."""
+    eta = _per_state(graph, eta, "eta")
     lookahead = graph.pair_cost + eta[graph.pair_succ]
     best_pairs = _segment_argmin_pair(lookahead, _segment_min(lookahead, graph), graph)
     return graph.pair_action[best_pairs]
 
 
 def cost_gap_identity(
-    process: Trajectory, eta: np.ndarray, V, y0: int, T: int
+    process: Trajectory, eta: np.ndarray, V: float, y0: int, T: int
 ) -> float:
-    """Residual of the drift identity linking finite averages to the limit:
+    """Residual of the drift identity linking finite averages to the limit
+    V at y0:
 
-        (1/T) (eta(y(T)) - eta(y0))  vs  V(y0) - (1/T) sum of costs.
+        (1/T) (eta(y(T)) - eta(y0))  vs  V - (1/T) sum of costs.
 
     Zero (up to tolerance) whenever the optimality conditions hold along
     the first T steps.
@@ -218,10 +214,7 @@ def cost_gap_identity(
         raise ValueError("T must lie within the recorded horizon")
     if int(process.states[0]) != int(y0):
         raise ValueError("trajectory does not start at y0")
-    eta = np.asarray(getattr(eta, "values", eta), dtype=float)
-    if eta.shape != (process.graph.n_states,):
-        raise ValueError("eta must assign a value to every state")
-    value = _value_at(V, y0)
+    eta = _per_state(process.graph, eta, "eta")
     drift = (eta[process.states[T]] - eta[y0]) / T
     avg = float(np.sum(process.costs[:T])) / T
-    return float(abs(drift - (value - avg)))
+    return float(abs(drift - (float(V) - avg)))

@@ -144,6 +144,17 @@ class Graph:
         return int(lo + hits[0]) if hits.size else -1
 
 
+def _per_state(graph: Graph, values, name: str) -> np.ndarray:
+    """values as a float array with one finite entry per state of graph;
+    raises ValueError naming it otherwise."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (graph.n_states,):
+        raise ValueError(f"{name} must assign a value to every state")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 def build_graph(problem: ControlProblem) -> Graph:
     """Enumerate the admissible pairs of a problem.
 

@@ -70,7 +70,7 @@ from .measures import (
     state_marginal,
     stationarity_residual,
 )
-from .problem import Graph
+from .problem import Graph, _per_state
 from . import simplex
 
 __all__ = [
@@ -311,27 +311,22 @@ def solve_q_form(graph: Graph, y0: int, theta: float = 0.0) -> QFormResult:
     return solve_primal(graph, y0, theta).as_q_form()
 
 
-def ergodic_inner_lp(graph: Graph, w) -> ErgodicInnerResult:
+def ergodic_inner_lp(graph: Graph, w: np.ndarray) -> ErgodicInnerResult:
     """Minimum of <k - w, gamma> over stationary probability measures.
 
     It is the minimum mean cycle of k - w over the whole graph, attained by
-    the uniform measure on that cycle.  w may be a per-state array or a
-    value function carrying one.
+    the uniform measure on that cycle.  w is a per-state array.
     """
-    w = np.asarray(getattr(w, "values", w), dtype=float)
-    if w.shape != (graph.n_states,):
-        raise ValueError("w must assign a value to every state")
+    w = _per_state(graph, w, "w")
     return _cycle_measure(graph, -w[graph.pair_state], np.arange(graph.n_states))
 
 
-def k_membership(graph: Graph, w, tol: float = 1e-7) -> bool:
+def k_membership(graph: Graph, w: np.ndarray, tol: float = 1e-7) -> bool:
     """Test membership of w in the certificate function class: w must be
     nondecreasing along the dynamics, within tol per pair, and k - w must
     have expectation >= -tol under every stationary measure.
     """
-    w = np.asarray(getattr(w, "values", w), dtype=float)
-    if w.shape != (graph.n_states,):
-        raise ValueError("w must assign a value to every state")
+    w = _per_state(graph, w, "w")
     mono_violation = float(max(0.0, np.max(w[graph.pair_state] - w[graph.pair_succ])))
     if mono_violation > tol:
         return False

@@ -1,6 +1,6 @@
 """Self-contained two-phase primal simplex for standard-form programs.
 
-Programs are stated as optimize c'x subject to A x = b with every variable
+Programs are stated as minimize c'x subject to A x = b with every variable
 nonnegative unless flagged free; free variables are split into positive and
 negative parts internally.  Inequalities must be brought to this form by
 the caller with explicit slack variables.
@@ -38,7 +38,6 @@ duals stay the tableau's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -69,18 +68,15 @@ class InaccurateSolution(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """optimize c'x  s.t.  A x = b,  x >= 0 except where free.
+    """minimize c'x  s.t.  A x = b,  x >= 0 except where free.
 
-    sense is "min" or "max"; free is a boolean mask (None means all
-    nonnegative); names are optional variable labels used by dump().
+    free is a boolean mask (None means all nonnegative).
     """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     free: np.ndarray | None = None
-    sense: str = "min"
-    names: Sequence[str] | None = None
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -91,8 +87,6 @@ class LinearProgram:
             raise ValueError(
                 f"inconsistent shapes: A is {m}x{n}, c has {self.c.shape}, b has {self.b.shape}"
             )
-        if self.sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
         if self.free is None:
             self.free = np.zeros(n, dtype=bool)
         else:
@@ -114,35 +108,13 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.A.shape[1]
 
-    def dump(self) -> str:
-        """Plain-text listing of the program.
-
-        Format: a sense line "min c'x" or "max c'x" with the nonzero
-        objective terms, one line per constraint row showing its nonzero
-        terms and right-hand side, and a final line listing which
-        variables are free (all others are nonnegative).
-        """
-        names = list(self.names) if self.names else [f"x{j}" for j in range(self.n_vars)]
-
-        def terms(vec: np.ndarray) -> str:
-            parts = [f"{vec[j]:+g} {names[j]}" for j in np.flatnonzero(vec)]
-            return " ".join(parts) if parts else "0"
-
-        lines = [f"{self.sense} {terms(self.c)}"]
-        lines.append("subject to")
-        for i in range(self.n_rows):
-            lines.append(f"  [{i}] {terms(self.A[i])} = {self.b[i]:g}")
-        free_names = [names[j] for j in np.flatnonzero(self.free)]
-        lines.append(f"free: {', '.join(free_names) if free_names else '(none)'}")
-        return "\n".join(lines)
-
 
 @dataclass
 class LpSolution:
     """Solver outcome: status is "optimal", "infeasible" or "unbounded".
 
-    x and y (row duals, stated for the program as given, so b'y equals the
-    objective at optimality for either sense) are None unless optimal.
+    x and y (row duals, so b'y equals the objective at optimality) are None
+    unless optimal.
     iterations counts every pivot; phase1_iterations those of phase 1 and
     the drive-out of artificials.
     """
@@ -165,8 +137,6 @@ def solve(
     """Run two-phase primal simplex on a standard-form program; with
     lexicographic=True, ratio-test ties are broken lexicographically."""
     m, n = lp.n_rows, lp.n_vars
-    sense_sign = 1.0 if lp.sense == "min" else -1.0
-    c0 = sense_sign * lp.c
 
     # Split free variables into nonnegative parts.
     col_orig = []
@@ -185,7 +155,7 @@ def solve(
     flip = np.where(lp.b < 0.0, -1.0, 1.0)
     A = (lp.A * flip[:, None])[:, col_orig] * col_sign
     b = lp.b * flip
-    c = c0[col_orig] * col_sign
+    c = lp.c[col_orig] * col_sign
 
     # Tableau rows 0..m-1 are constraints, row m is the objective row;
     # columns are split variables, then artificials, then the rhs.
@@ -321,8 +291,8 @@ def solve(
     x = np.zeros(n)
     np.add.at(x, col_orig, col_sign * x_ext[:N])
     # Artificial column i began as e_i, so its phase-2 reduced cost is
-    # -y_i for the minimized program; undo row flips and the sense sign.
-    y = -Tb[m, N : N + m] * flip * sense_sign
+    # -y_i; undo the row flips.
+    y = -Tb[m, N : N + m] * flip
     return LpSolution(
         status="optimal",
         objective=float(lp.c @ x),
@@ -344,12 +314,11 @@ def kkt_residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
     """
     if sol.status != "optimal":
         raise ValueError("kkt_residuals needs an optimal solution")
-    sign = 1.0 if lp.sense == "min" else -1.0
     x, y = sol.x, sol.y
     r_eq = float(np.max(np.abs(lp.A @ x - lp.b))) if lp.n_rows else 0.0
     nonneg = ~lp.free
     r_sign = float(max(0.0, -np.min(x[nonneg]))) if nonneg.any() else 0.0
-    rc = sign * (lp.c - lp.A.T @ y)
+    rc = lp.c - lp.A.T @ y
     r_dual = 0.0
     if nonneg.any():
         r_dual = max(r_dual, float(max(0.0, -np.min(rc[nonneg]))))

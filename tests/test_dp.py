@@ -118,6 +118,13 @@ class TestDiscountedValues:
         with pytest.raises(ValueError):
             value_iteration_discounted(toy_graph, 0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_tol_must_be_positive(self, threestate_graph, tol):
+        # a NaN tol once passed the check and stopped after the first
+        # round with the myopic values [3.6, 3.34, 4.0]
+        with pytest.raises(ValueError, match="tol must be positive"):
+            value_iteration_discounted(threestate_graph, 0.9, tol=tol)
+
     def test_bounded_by_cost_range(self, threestate_graph):
         vf = value_iteration_discounted(threestate_graph, 0.99)
         assert np.all(vf.values <= 5.0 + 1e-9)

@@ -58,6 +58,11 @@ class TestConstruction:
         neg[0], neg[1] = 1.5, -0.5
         with pytest.raises(ValueError, match="nonnegative"):
             OccupationalMeasure(graph=toy_graph, weights=neg)
+        # a NaN passes both the sign and the mass comparison
+        nan = np.zeros(toy_graph.n_pairs)
+        nan[0], nan[1] = np.nan, 1.0
+        with pytest.raises(ValueError, match="finite"):
+            OccupationalMeasure(graph=toy_graph, weights=nan)
 
     def test_flow_measure_any_mass(self, toy_graph):
         w = np.zeros(toy_graph.n_pairs)
@@ -367,6 +372,7 @@ class TestSerialization:
             '{"1.0": 1.0}',
             '{"0": "1.0"}',
             '{"0": true}',
+            '{"0": NaN}',
             '[1.0, 0, 0, 0, 0]',
             '1.0',
         ],

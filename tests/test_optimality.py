@@ -18,7 +18,9 @@ from lrac import (
     check_sufficient,
     cost_gap_identity,
     detect_cycle,
+    ergodic_inner_lp,
     extract_feedback,
+    k_membership,
     rollout,
     solve_dual,
     v_per,
@@ -233,9 +235,37 @@ class TestCostGapIdentity:
         with pytest.raises(ValueError):
             cost_gap_identity(traj, np.zeros(3), 4.0, 0, 4)
 
-    @pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
-    def test_eta_length_checked(self, threestate_graph, length):
-        # the same mistake extract_feedback rejects
-        traj = rollout(threestate_graph, 2, lambda y: 0, 4)
-        with pytest.raises(ValueError, match="eta must assign a value to every state"):
-            cost_gap_identity(traj, np.zeros(length), 4.0, 2, 4)
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.zeros(2), "must assign a value to every state"),
+            (np.zeros(4), "must assign a value to every state"),
+            (np.array([0.0, np.nan, 0.0]), "must be finite"),
+        ],
+        ids=["short", "long", "nan"],
+    )
+    def test_eta_length_checked(self, threestate_graph, bad, error):
+        # every entry point that takes one value per state, this one
+        # included, rejects an array of another length or a NaN entry
+        g = threestate_graph
+        traj = rollout(g, 2, lambda y: 0, 4)
+        proc = PeriodicProcess(
+            graph=g, prefix_pairs=np.array([], dtype=int), cycle_pairs=np.array([0, 2])
+        )
+        ok = np.zeros(3)
+        calls = [
+            ("w", lambda: ergodic_inner_lp(g, bad)),
+            ("w", lambda: k_membership(g, bad)),
+            ("eta", lambda: extract_feedback(g, bad)),
+            ("eta", lambda: cost_gap_identity(traj, bad, 4.0, 2, 4)),
+        ]
+        for name, psi, eta in (("psi", bad, ok), ("eta", ok, bad)):
+            cert = DualCertificate(mu=4.0, psi=psi, eta=eta)
+            calls += [
+                (name, lambda cert=cert: certificate_residuals(g, 2, cert)),
+                (name, lambda cert=cert: check_sufficient(traj, cert, 4.0, 2)),
+                (name, lambda cert=cert: check_necessary_periodic(proc, cert, 2.0, 0)),
+            ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"{name} {error}"):
+                call()

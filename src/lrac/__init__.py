@@ -8,7 +8,9 @@ a measure linear program over stationary distributions reachable from the
 start, solved with an in-package simplex method, and minimum mean cycle
 analysis.  One solve of the measure program also yields its certificate
 dual from the row duals; that certificate is checked independently for
-feasibility and against the cycle value.
+feasibility and against the cycle value.  The minimum mean cycle
+recursion yields a primal point and a certificate of its own, whose
+zero duality gap proves both optimal without a program.
 
 The public names are those of each layer module's `__all__`, re-exported
 here.

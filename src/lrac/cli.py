@@ -7,16 +7,21 @@ lower bound <= V_T <= perturbed upper bound per horizon.  The lower bound
 is d* - S_eta/T, the link the certificate proves at horizon T, with S_eta
 the largest rise of its eta potential from y0 to a reachable state; the
 upper bound is k*(theta) at transfer price theta = 2M/T.
+solve runs no LP: k*, d* and the certificate are v_per's primal point
+and certificate, and it reports their residuals and duality gap, exiting
+3 (InaccurateSolution) if any exceeds 1e-9 (1 + M).
 sweep emits one CSV row per parameter point.  verify runs the internal
 consistency suite, whose horizon row checks the same bracket as solve at
 T = 10 and 100, and exits nonzero if an invariant is violated; its
-certificate class row tests the q-form psi with k_membership, a minimum
-mean cycle over the whole graph that solves no LP.
+certificate rows check both the measure program's certificate and
+v_per's, and its certificate class row tests the q-form psi with
+k_membership, a minimum mean cycle over the whole graph that solves no LP.
 Every k*(theta), theta = 0 included (upper links, solve's --theta,
 sweep's d* and its theta rows), is k_star_theta's minimum mean cycle,
-which builds no program.  Only solve and verify, which read the
-certificate, solve the theta = 0 measure program, once each; a sweep's
-only LPs are its projections onto W.
+which builds no program; solve and verify run the breadth-first search
+from y0 once, in v_per, for all of them.  Only verify solves the
+theta = 0 measure program, once, as its independent cross-check; a
+sweep's only LPs are its projections onto W.
 --out sends any command's report to a file instead of stdout, byte for
 byte what stdout would have shown.
 
@@ -61,6 +66,7 @@ from .measures import (
     membership_W,
     membership_W_alpha,
     occupational_measure,
+    pairing,
     stationarity_residual,
 )
 from .optimality import (
@@ -76,18 +82,19 @@ from .problem import (
     load_problem,
 )
 from .programs import (
+    _k_star_reached,
     k_membership,
     k_star_theta,
     pair_from_process,
     pair_residuals,
     project_to_W,
-    reachable_states,
     # Not called here; perfbench/selftest.py checks that the tracer
     # rebinds this module's reference to it.
     solve_dual,  # noqa: F401
     solve_primal,
     v_per,
 )
+from .simplex import InaccurateSolution
 
 __all__ = ["main", "cmd_solve", "cmd_sweep", "cmd_verify"]
 
@@ -159,22 +166,45 @@ def _discounted_measure(graph, y0: int, alpha: float):
     return vf, discounted_occupational_measure(traj, alpha)
 
 
-def _chain(graph, y0: int, primal, horizons) -> list[tuple[int, float, float, float]]:
-    """(T, lower, V_T, upper) bracket rows, one per horizon.
+def _chain(graph, y0: int, cycle, horizons) -> list[tuple[int, float, float, float]]:
+    """(T, lower, V_T, upper) bracket rows, one per horizon, from the v_per
+    result cycle.
 
-    lower = d* - S_eta/T is the link the certificate proves, with S_eta
-    the largest rise of its eta from y0 to a reachable state, read off
-    the theta = 0 result primal; upper is k*(theta) at transfer price
-    theta = 2M/T, from k_star_theta.
+    lower = d* - S_eta/T is the link its certificate proves, with S_eta
+    the largest rise of eta from y0 to a reachable state; upper is
+    k*(theta) at transfer price theta = 2M/T, the cycle recursion on
+    the same reachable states.
     """
-    cert = primal.cert
-    eta_span = float(np.max(cert.eta[reachable_states(graph, y0)[0]]) - cert.eta[y0])
+    cert = cycle.cert
+    eta_span = float(np.max(cert.eta[cycle.reach]) - cert.eta[y0])
     rows = []
     for T in horizons:
         vT = value_iteration_avg(graph, T)(y0)
-        upper = k_star_theta(graph, y0, 2.0 * graph.cost_bound / T).value
+        upper = _k_star_reached(graph, cycle.reach, cycle.dist, 2.0 * graph.cost_bound / T).value
         rows.append((T, cert.mu - eta_span / T, vT, upper))
     return rows
+
+
+def _optimality_residuals(graph, y0: int, cycle) -> tuple[float, dict[str, float], float]:
+    """k*, the residuals and the duality gap of v_per's two optima.
+
+    The primal point is pair_from_process of the witness, costing k* =
+    <k, gamma>; the dual point is its certificate, with d* = mu.  Both
+    feasible and k* = d* prove both optimal.  A residual or a gap above
+    1e-9 (1 + M) raises simplex.InaccurateSolution.
+    """
+    pair = pair_from_process(cycle.process)
+    k_star = pairing(graph.pair_cost, pair.gamma)
+    residuals = {**pair_residuals(pair, y0), **certificate_residuals(graph, y0, cycle.cert)}
+    gap = abs(k_star - cycle.cert.mu)
+    tol = 1e-9 * (1.0 + graph.cost_bound)
+    misses = {name: r for name, r in {**residuals, "gap": gap}.items() if not r <= tol}
+    if misses:
+        raise InaccurateSolution(
+            f"cycle optimum exceeds {tol:.3g} in "
+            + ", ".join(f"{name} {r:.3g}" for name, r in misses.items())
+        )
+    return k_star, residuals, gap
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -185,9 +215,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     alpha_list = _parse_floats(args.alpha)
     theta_list = _parse_floats(args.theta)
 
-    primal = solve_primal(graph, y0)
-    cert = primal.cert
     cycle = v_per(graph, y0)
+    cert = cycle.cert
+    k_star, residuals, gap = _optimality_residuals(graph, y0, cycle)
     feedback = extract_feedback(graph, cert.eta)
     chain = [
         {
@@ -198,7 +228,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "lower_ok": lower <= vT + 1e-7,
             "upper_ok": vT <= upper + 1e-7,
         }
-        for T, lower, vT, upper in _chain(graph, y0, primal, sorted(set(T_list)))
+        for T, lower, vT, upper in _chain(graph, y0, cycle, sorted(set(T_list)))
     ]
     result = {
         "problem": problem.name,
@@ -212,14 +242,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
             str(a): value_iteration_discounted(graph, a)(y0)
             for a in sorted(set(alpha_list))
         },
-        "k_star": primal.value,
+        "k_star": k_star,
         "k_star_theta": {
-            str(t): k_star_theta(graph, y0, t).value for t in sorted(set(theta_list))
+            str(t): _k_star_reached(graph, cycle.reach, cycle.dist, t).value
+            for t in sorted(set(theta_list))
         },
         "d_star": cert.mu,
-        "sup_over_K": primal.as_q_form().value,
+        "sup_over_K": float(cert.q_form_psi(y0)[y0]),
         "v_per": cycle.to_dict(),
         "certificate": cert.to_dict(),
+        "residuals": residuals,
+        "gap": gap,
         "feedback": [int(u) for u in feedback],
         "feedback_actions": [problem.actions[int(u)] for u in feedback],
         "chain": chain,
@@ -300,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cycle = v_per(graph, y0)
     spread = max(
         abs(primal.value - cert.mu),
-        abs(cycle.value - cert.mu),
+        abs(cycle.cert.mu - cert.mu),
         abs(q.value - cert.mu),
     )
     results.append(
@@ -309,7 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     ok = True
     detail = []
-    for T, lower, vT, upper in _chain(graph, y0, primal, (10, 100)):
+    for T, lower, vT, upper in _chain(graph, y0, cycle, (10, 100)):
         ok = ok and (lower - 1e-7 <= vT <= upper + 1e-7)
         detail.append(f"T={T}: {lower:.6g} <= {vT:.6g} <= {upper:.6g}")
     results.append(("horizon bracketing", ok, "; ".join(detail)))
@@ -341,15 +374,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     )
 
-    feas = certificate_residuals(graph, y0, cert)
-    worst = max(feas.values())
-    report = check_necessary_periodic(cycle.process, cert, cert.mu, y0)
-    ok = worst <= 1e-7 and not report.inconsistent
+    certs = (cert, cycle.cert)
+    worst = max(max(certificate_residuals(graph, y0, c).values()) for c in certs)
+    inconsistent = any(
+        check_necessary_periodic(cycle.process, c, c.mu, y0).inconsistent for c in certs
+    )
+    ok = worst <= 1e-7 and not inconsistent
     results.append(
         (
             "certificate consistency",
             ok,
-            f"feasibility {worst:.2e}, inconsistent={report.inconsistent}",
+            f"feasibility {worst:.2e}, inconsistent={inconsistent}",
         )
     )
 

@@ -17,7 +17,8 @@ feedback, and eta's drift accounts exactly for the gap between finite
 horizon averages and the limit value.
 
 The checks take V(y0) as a plain number and psi and eta as arrays with one
-finite entry per state; any other array raises ValueError.
+finite entry per state; any other array, or a certificate whose mu is not
+finite, raises ValueError.
 """
 
 from __future__ import annotations
@@ -53,8 +54,11 @@ def certificate_residuals(
 
     pair_slack: how far k + psi(y0) - psi(y) + eta(f) - eta(y) - mu dips
     below zero anywhere on the graph.  monotone_slack: how far
-    psi(f) - psi(y) dips below -theta.
+    psi(f) - psi(y) dips below -theta.  A mu that is not finite raises
+    ValueError, as no slack can be read against it.
     """
+    if not np.isfinite(cert.mu):
+        raise ValueError("mu must be finite")
     psi = _per_state(graph, cert.psi, "psi")
     eta = _per_state(graph, cert.eta, "eta")
     slack = (

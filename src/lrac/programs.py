@@ -33,6 +33,10 @@ solve_q_form are views of its result.
 
 On a finite graph both optimal values agree with the minimum mean cost
 over cycles reachable from y0, which v_per reads off dp's recursion.
+v_per reads both optima off that recursion too: its witness gives the
+feasible (gamma, xi) of pair_from_process, costing the cycle mean, and
+its table a feasible certificate at that level, so equal objectives
+prove both optimal without a program.
 For theta > 0 the measure program's minimum still sits at gamma uniform
 on one reachable cycle C, with xi carrying the unit of mass from y0
 along shortest hop paths; k_star_theta reads that value as the minimum
@@ -109,6 +113,11 @@ class DualCertificate:
     psi: np.ndarray
     eta: np.ndarray
 
+    def q_form_psi(self, y0: int) -> np.ndarray:
+        """psi shifted so that psi(y0) = mu: the q-form optimum's psi, with
+        the same eta, when the certificate is optimal."""
+        return self.psi + (self.mu - self.psi[y0])
+
     def to_dict(self) -> dict:
         return {
             "mu": float(self.mu),
@@ -157,7 +166,7 @@ class PrimalResult:
 
     def as_q_form(self) -> QFormResult:
         """The q-form optimum: psi shifted so that psi(y0) = mu, same eta."""
-        psi = self.cert.psi + (self.cert.mu - self.cert.psi[self.y0])
+        psi = self.cert.q_form_psi(self.y0)
         return QFormResult(
             value=float(psi[self.y0]),
             psi=psi,
@@ -190,8 +199,15 @@ class ErgodicInnerResult:
 
 @dataclass(frozen=True)
 class VPerResult:
+    """The minimum mean cycle reachable from y0 as a periodic process, the
+    optimal certificate read off the same recursion, and the breadth-first
+    search behind both: reach and dist as reachable_states returns them."""
+
     value: float
     process: PeriodicProcess
+    cert: DualCertificate
+    reach: np.ndarray
+    dist: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -235,8 +251,8 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
     also carries the optimal certificate read off its row duals.  A gamma
     or xi that misses its sign or mass constraint by more than roundoff
     raises simplex.InaccurateSolution.  k_star_theta gives the same value at
-    every theta without a program, so the commands run this one only
-    where they read the certificate.
+    every theta, and v_per both optima at theta = 0, without a program, so
+    the commands run this one only as verify's independent cross-check.
 
     The simplex prices c / M, M = graph.cost_bound (1 when every cost is 0),
     so its tolerances do not depend on the unit of cost; the value and the
@@ -291,8 +307,16 @@ def k_star_theta(graph: Graph, y0: int, theta: float) -> ErgodicInnerResult:
     from y0 (see the module docstring), attained by the uniform measure on
     that cycle; the value is that cycle's mean of the shifted costs.
     """
-    _check_theta(theta)
     reach, dist, _ = reachable_states(graph, y0)
+    return _k_star_reached(graph, reach, dist, theta)
+
+
+def _k_star_reached(
+    graph: Graph, reach: np.ndarray, dist: np.ndarray, theta: float
+) -> ErgodicInnerResult:
+    """k_star_theta from y0, given reach and dist of reachable_states(graph, y0),
+    so that one breadth-first search serves every theta."""
+    _check_theta(theta)
     return _cycle_measure(graph, theta * dist[graph.pair_state], reach)
 
 
@@ -357,8 +381,9 @@ def reachable_states(graph: Graph, y0: int) -> tuple[np.ndarray, np.ndarray, np.
     return np.flatnonzero(dist >= 0), dist, pred_pair
 
 
-def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float]:
-    """An optimal cycle among a closed set of states, and its exact mean.
+def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float, np.ndarray]:
+    """An optimal cycle among a closed set of states, its exact mean, and
+    the (N + 1, n_states) table S of the recursion below, over every state.
 
     Karp's (1978) table on the reversed graph, from a source at every
     state, is dp's finite-horizon recursion: row k holds S_k(v), the
@@ -378,8 +403,8 @@ def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float]
     for k, (lookahead, S_k) in enumerate(_horizon_sums(graph, N)):
         totals[k], S[k + 1] = lookahead, S_k
     best_pair = _segment_argmin_pair(totals, S[1:], graph)  # row k - 1 for S_k
-    S = S[:, states]
-    means = ((S[N] - S[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
+    S_states = S[:, states]
+    means = ((S_states[N] - S_states[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
     best_val = float(means.min())
 
     # Walk from the minimizing state; a state repeats within N steps.
@@ -396,27 +421,31 @@ def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float]
         raise RuntimeError(
             f"cycle recovery drifted: table mean {best_val}, witness mean {mean}"
         )
-    return cycle, mean
+    return cycle, mean, S
 
 
 def _cycle_measure(graph: Graph, shift: np.ndarray, states: np.ndarray) -> ErgodicInnerResult:
     """_min_mean_cycle of pair costs k + shift among a closed set of states,
     with the uniform measure on that cycle."""
     shifted = replace(graph, pair_cost=graph.pair_cost + shift)
-    cycle, value = _min_mean_cycle(shifted, states)
+    cycle, value, _ = _min_mean_cycle(shifted, states)
     weights = np.bincount(cycle, minlength=graph.n_pairs) / len(cycle)
     return ErgodicInnerResult(value=value, gamma=OccupationalMeasure(graph=graph, weights=weights))
 
 
 def v_per(graph: Graph, y0: int) -> VPerResult:
-    """Minimum mean cost over cycles reachable from y0, with a witness.
+    """Minimum mean cost over cycles reachable from y0, with a witness and
+    an optimal certificate.
 
     The cycle is _min_mean_cycle's over the states reachable from y0; a
     shortest admissible path provides the prefix.  The returned value is
-    the exact mean of the witness cycle.
+    the exact mean of the witness cycle.  The certificate comes from the
+    same table S, with N reachable states (see _cycle_certificate); its
+    mu is the value, so with pair_from_process(process), which costs the
+    value, it proves both optimal without a program.
     """
     reach, dist, pred_pair = reachable_states(graph, y0)
-    cycle, _ = _min_mean_cycle(graph, reach)
+    cycle, _, S = _min_mean_cycle(graph, reach)
 
     # Rotate the cycle to start at its state closest to y0, then attach the
     # breadth-first prefix.
@@ -437,7 +466,37 @@ def v_per(graph: Graph, y0: int) -> VPerResult:
         prefix_pairs=np.array(prefix, dtype=int),
         cycle_pairs=np.array(cycle, dtype=int),
     )
-    return VPerResult(value=process.mean_cycle_cost, process=process)
+    mu = process.mean_cycle_cost
+    return VPerResult(
+        value=mu,
+        process=process,
+        cert=_cycle_certificate(graph, S, mu, dist >= 0),
+        reach=reach,
+        dist=dist,
+    )
+
+
+def _cycle_certificate(
+    graph: Graph, S: np.ndarray, mu: float, reached: np.ndarray
+) -> DualCertificate:
+    """A feasible certificate at level mu, the minimum mean cycle over the
+    reached states, read off _min_mean_cycle's table S of N + 1 rows, N
+    the number of reached states.
+
+    eta(v) = min over 0 <= k <= N of S_k(v) - k mu.  On a reached pair,
+    k(y, u) + S_k(f) >= S_{k+1}(y) covers every k < N; a walk of N + 1
+    steps from y repeats a state, and cutting out its cycles, each of mean
+    at least mu, leaves a walk of j <= N steps with S_{N+1}(y) - (N+1) mu
+    >= S_j(y) - j mu, which covers k = N.  So k + eta(f) - eta(y) >= mu.
+    psi is 0 on the reached states and -L elsewhere, with L one more than
+    the worst pair-slack deficit on pairs that leave an unreached state:
+    psi(y0) - psi(y) = L lifts those pairs, and since no reached state
+    leads out of the reached set, psi never falls along the dynamics.
+    """
+    eta = np.min(S - mu * np.arange(S.shape[0])[:, None], axis=0)
+    slack = graph.pair_cost + eta[graph.pair_succ] - eta[graph.pair_state] - mu
+    L = 1.0 - float(np.min(slack, where=~reached[graph.pair_state], initial=0.0))
+    return DualCertificate(mu=mu, psi=np.where(reached, 0.0, -L), eta=eta)
 
 
 def pair_from_process(process: PeriodicProcess) -> PrimalPair:

@@ -1,6 +1,7 @@
 """Command-line surface: solve and sweep output, the invariant check
 command, exit codes, and determinism."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -11,7 +12,16 @@ import numpy as np
 import pytest
 
 import lrac.cli
-from lrac import IterationLimit, problem_to_dict, save_problem, toy_problem
+from lrac import (
+    DualCertificate,
+    IterationLimit,
+    build_graph,
+    certificate_residuals,
+    problem_to_dict,
+    save_problem,
+    solve_primal,
+    toy_problem,
+)
 from lrac.cli import main
 
 
@@ -415,7 +425,7 @@ class TestExitCodes:
             raise IterationLimit("simplex exceeded 10 pivots on a 3x4 tableau")
 
         monkeypatch.setattr(lrac.cli, "solve_primal", give_up)
-        assert main(["solve", "--problem", "toy", "--y0", "15"]) == 3
+        assert main(["verify", "--problem", "toy", "--y0", "15"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -433,9 +443,27 @@ class TestExitCodes:
             return sol
 
         monkeypatch.setattr(lrac.simplex, "solve", drift)
-        assert main(["solve", "--problem", "threestate", "--y0", "0"]) == 3
+        assert main(["verify", "--problem", "threestate", "--y0", "0"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("solver failed: InaccurateSolution:"), err
+
+    def test_perturbed_certificate_exits_three(self, capsys, monkeypatch):
+        # solve proves its optimum by residuals and a duality gap; a
+        # certificate that misses them is a solver failure, not an answer
+        real = lrac.cli.v_per
+
+        def perturbed(graph, y0):
+            res = real(graph, y0)
+            assert res.process.period >= 2  # the cycle pair into start_state is tight
+            eta = res.cert.eta.copy()
+            eta[res.process.start_state] -= 1e-6
+            return dataclasses.replace(res, cert=dataclasses.replace(res.cert, eta=eta))
+
+        monkeypatch.setattr(lrac.cli, "v_per", perturbed)
+        assert main(["solve", "--problem", "threestate", "--y0", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver failed: InaccurateSolution:"), captured.err
 
 
 class TestDeterminism:
@@ -462,18 +490,18 @@ class TestDeterminism:
 
 
 class TestSimplexCalls:
-    """Only solve and verify read the certificate, so each solves the
-    theta = 0 measure program once; every k*(theta), theta = 0 included,
-    comes off the cycle recursion.  A sweep's only LPs are its projections
-    onto W.  A second tableau for any of them shows up here as an extra
-    simplex call."""
+    """solve reads both optima off the cycle recursion and runs no program;
+    verify solves the theta = 0 measure program once, as its independent
+    cross-check; every k*(theta), theta = 0 included, comes off the cycle
+    recursion.  A sweep's only LPs are its projections onto W.  A second
+    tableau for any of them shows up here as an extra simplex call."""
 
     @pytest.mark.parametrize(
         "argv, calls",
         [
-            # the measure program; the upper link per default T reads a
-            # minimum mean cycle and runs no LP
-            (["solve", "--problem", "toy", "--y0", "15"], 1),
+            # the certificate, the primal point and the upper link per
+            # default T all read minimum mean cycles
+            (["solve", "--problem", "toy", "--y0", "15"], 0),
             # the measure program; the upper links at T = 10, 100 and the
             # membership check read minimum mean cycles
             (["verify", "--problem", "toy", "--y0", "15"], 1),
@@ -497,6 +525,9 @@ class TestSimplexCalls:
             ),
             # both horizon measures are stationary
             (["sweep", "--problem", "toy", "--y0", "15", "--sweep", "T", "--values", "3,5"], 0),
+            # at n = 320 the measure program took seconds; the cycle
+            # recursion still answers without one
+            (["solve", "--problem", "random", "--states", "320", "--seed", "0", "--y0", "0"], 0),
         ],
     )
     def test_call_count(self, capsys, monkeypatch, argv, calls):
@@ -526,8 +557,8 @@ _CROSS_PANEL = [
 
 
 class TestSweepMatchesSolve:
-    """sweep reads d* off the cycle recursion, solve off the measure
-    program's row duals; every sweep row's value - gap_to_dstar must be
+    """sweep reads d* off k_star_theta's cycle recursion, solve off
+    v_per's certificate; every sweep row's value - gap_to_dstar must be
     solve's d_star."""
 
     @pytest.mark.parametrize("instance", _CROSS_PANEL, ids=" ".join)
@@ -543,6 +574,72 @@ class TestSweepMatchesSolve:
             for row in json.loads(out):
                 gap = row["value"] - row["gap_to_dstar"] - solved["d_star"]
                 assert abs(gap) <= tol, (sweep, row, solved["d_star"])
+
+
+class TestOneSearchPerCommand:
+    """The breadth-first search from y0 runs once, in v_per; the bracket's
+    eta span and every k*(theta) of solve and verify reuse it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "threestate", "--y0", "0", "--theta", "0,0.5"],
+            ["verify", "--problem", "threestate", "--y0", "0"],
+        ],
+    )
+    def test_search_count(self, capsys, monkeypatch, argv):
+        real = lrac.programs.reachable_states
+        seen = []
+
+        def counting(graph, y0):
+            seen.append(y0)
+            return real(graph, y0)
+
+        monkeypatch.setattr(lrac.programs, "reachable_states", counting)
+        code, _ = _run(capsys, argv)
+        assert code == 0
+        assert seen == [0]
+
+
+_LARGE = [
+    ["--problem", "random", "--states", str(n), "--seed", "0", "--y0", "0"] for n in (80, 160)
+]
+
+
+def _graph_and_start(instance):
+    args = lrac.cli._build_parser().parse_args(["solve", *instance])
+    return build_graph(lrac.cli._resolve_problem(args)), args.y0
+
+
+class TestCycleOptimum:
+    """solve's certificate and primal point come off the cycle recursion.
+    Each must be feasible and their objectives equal, to roundoff, and the
+    level must be the measure program's d*."""
+
+    @pytest.mark.parametrize("instance", [*_CROSS_PANEL, *_LARGE], ids=" ".join)
+    def test_matches_measure_program(self, capsys, instance):
+        code, out = _run(capsys, ["solve", *instance])
+        assert code == 0
+        data = json.loads(out)
+        tol = 1e-12 * (1.0 + data["cost_bound"])
+        assert max(data["residuals"].values()) <= tol, data["residuals"]
+        assert data["gap"] <= tol
+        graph, y0 = _graph_and_start(instance)
+        cert = data["certificate"]
+        cert = DualCertificate(mu=cert["mu"], psi=np.array(cert["psi"]), eta=np.array(cert["eta"]))
+        assert max(certificate_residuals(graph, y0, cert).values()) <= tol
+        assert abs(data["d_star"] - solve_primal(graph, y0).cert.mu) <= tol
+
+    def test_scale(self, capsys):
+        # the measure program took seconds here; no time is asserted, only
+        # that the answer still proves itself (TestSimplexCalls counts 0 calls)
+        argv = ["solve", "--problem", "random", "--states", "320", "--seed", "0", "--y0", "0"]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        data = json.loads(out)
+        tol = 1e-12 * (1.0 + data["cost_bound"])
+        assert max(data["residuals"].values()) <= tol, data["residuals"]
+        assert data["gap"] <= tol
 
 
 _ALPHAS = "0.9,0.99,0.999"

@@ -56,6 +56,17 @@ class TestCertificateResiduals:
         res = certificate_residuals(toy_graph, 15, bumped)
         assert res["pair_slack"] == pytest.approx(0.2, abs=1e-12)
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_rejected(self, threestate_graph, mu):
+        # max(0, nan) is 0, so a NaN level once read as zero slack and
+        # passed check_sufficient's feasibility gate
+        cert = DualCertificate(mu=mu, psi=np.zeros(3), eta=np.zeros(3))
+        traj = rollout(threestate_graph, 0, lambda y: 0, 4)
+        with pytest.raises(ValueError, match="mu must be finite"):
+            certificate_residuals(threestate_graph, 0, cert)
+        with pytest.raises(ValueError, match="mu must be finite"):
+            check_sufficient(traj, cert, 2.0, 0)
+
 
 class TestSufficiency:
     def test_toy_optimal_process_accepted(self, toy_graph):

@@ -223,7 +223,8 @@ def _certificate_oracle(graph, theta: float, q_form: bool) -> np.ndarray:
 
 class TestCertificateOracle:
     """The certificate and q-form values read off the measure program's row
-    duals agree with the two programs solved directly by another solver."""
+    duals, and at theta = 0 those of v_per's certificate, agree with the
+    two programs solved directly by another solver."""
 
     def _check(self, graph, theta):
         tol = 1e-7 * (1.0 + graph.cost_bound)
@@ -232,10 +233,16 @@ class TestCertificateOracle:
         for y0 in range(graph.n_states):
             assert abs(solve_dual(graph, y0, theta).value - d_ref[y0]) <= tol
             assert abs(solve_q_form(graph, y0, theta).value - q_ref[y0]) <= tol
+        return d_ref, q_ref
 
     def test_every_start_at_theta_zero(self, toy_graph, threestate_graph, random_graphs):
         for graph in (toy_graph, threestate_graph, *random_graphs):
-            self._check(graph, 0.0)
+            d_ref, q_ref = self._check(graph, 0.0)
+            tol = 1e-7 * (1.0 + graph.cost_bound)
+            for y0 in range(graph.n_states):
+                cert = v_per(graph, y0).cert
+                assert abs(cert.mu - d_ref[y0]) <= tol
+                assert abs(cert.q_form_psi(y0)[y0] - q_ref[y0]) <= tol
 
     def test_positive_theta(self, threestate_graph, random_graphs):
         for graph in (threestate_graph, *random_graphs[:10]):
@@ -441,6 +448,24 @@ class TestCycleSolver:
                 assert res.value == min_mean_cycle_brute(graph, y0)
                 assert res.process.mean_cycle_cost == res.value
                 assert res.process.start_state == y0
+
+    def test_certificate_is_feasible_at_the_value(self, threestate_graph, random_graphs):
+        # from threestate's y0 = 2 only state 2 is reachable, so psi must
+        # lift the pairs that leave states 0 and 1
+        starts = [(threestate_graph, 2)]
+        starts += [(g, y0) for g in random_graphs for y0 in range(g.n_states)]
+        lifted = 0
+        for graph, y0 in starts:
+            res = v_per(graph, y0)
+            cert = res.cert
+            assert cert.mu == res.value
+            worst = max(certificate_residuals(graph, y0, cert).values())
+            assert worst <= 1e-12 * (1.0 + graph.cost_bound)
+            reached = res.dist >= 0
+            assert res.reach.tolist() == np.flatnonzero(reached).tolist()
+            assert np.all(cert.psi[reached] == 0.0) and np.all(cert.psi[~reached] <= -1.0)
+            lifted += int(not reached.all())
+        assert lifted > 0
 
     def test_agrees_with_certificate_program(self, random_graphs):
         for graph in random_graphs[:20]:

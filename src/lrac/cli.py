@@ -22,6 +22,11 @@ which builds no program; solve and verify run the breadth-first search
 from y0 once, in v_per, for all of them.  Only verify solves the
 theta = 0 measure program, once, as its independent cross-check; a
 sweep's only LPs are its projections onto W.
+Every V_T a command prints is read off one dp._horizon_table, run up to
+its largest horizon: solve's chain, verify's horizon row and the rows of
+sweep --sweep T, which also unrolls each horizon's trajectory from the
+last T rows of one dp._horizon_policy.  Each horizon is checked by
+dp._check_horizon before the table is built.
 --out sends any command's report to a file instead of stdout, byte for
 byte what stdout would have shown.
 
@@ -54,9 +59,11 @@ import numpy as np
 from .builtin import make_problem
 from .dp import (
     Trajectory,
+    _check_horizon,
+    _horizon_policy,
+    _horizon_table,
     greedy_policy,
     rollout,
-    value_iteration_avg,
     value_iteration_discounted,
 )
 from .measures import (
@@ -67,7 +74,6 @@ from .measures import (
     membership_W_alpha,
     occupational_measure,
     pairing,
-    stationarity_residual,
 )
 from .optimality import (
     certificate_residuals,
@@ -147,13 +153,25 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _horizon_table_upto(graph, horizons) -> np.ndarray:
+    """dp._horizon_table up to the largest of horizons, each checked by
+    dp._check_horizon: one pass of the recursion serves them all, as
+    V_T = S[T] / T."""
+    for T in horizons:
+        _check_horizon(T)
+    return _horizon_table(graph, max(horizons, default=0))
+
+
 def _horizon_trajectory(graph, y0: int, policy: np.ndarray) -> Trajectory:
-    """Unroll from y0 the horizon-T policy table of value_iteration_avg."""
-    pairs = np.empty(policy.shape[0], dtype=int)
+    """Unroll from y0 a horizon policy table, row t used at time t: the
+    last T rows of dp._horizon_policy are the horizon-T policy."""
+    # a step is a lookup in Python ints, not numpy scalar indexing
+    pick, succ = policy.item, graph.pair_succ.tolist()
+    pairs = []
     y = int(y0)
-    for t, row in enumerate(policy):
-        pairs[t] = row[y]
-        y = graph.pair_succ[pairs[t]]
+    for t in range(policy.shape[0]):
+        pairs.append(pick(t, y))
+        y = succ[pairs[-1]]
     return Trajectory.from_pairs(graph, pairs)
 
 
@@ -171,15 +189,16 @@ def _chain(graph, y0: int, cycle, horizons) -> list[tuple[int, float, float, flo
     result cycle.
 
     lower = d* - S_eta/T is the link its certificate proves, with S_eta
-    the largest rise of eta from y0 to a reachable state; upper is
-    k*(theta) at transfer price theta = 2M/T, the cycle recursion on
-    the same reachable states.
+    the largest rise of eta from y0 to a reachable state; V_T is read off
+    one horizon table up to the largest T; upper is k*(theta) at transfer
+    price theta = 2M/T, the cycle recursion on the same reachable states.
     """
     cert = cycle.cert
     eta_span = float(np.max(cert.eta[cycle.reach]) - cert.eta[y0])
+    S = _horizon_table_upto(graph, horizons)
     rows = []
     for T in horizons:
-        vT = value_iteration_avg(graph, T)(y0)
+        vT = float(S[T, y0] / T)
         upper = _k_star_reached(graph, cycle.reach, cycle.dist, 2.0 * graph.cost_bound / T).value
         rows.append((T, cert.mu - eta_span / T, vT, upper))
     return rows
@@ -288,10 +307,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     if args.sweep == "T":
-        for T in sorted(set(_parse_ints(args.values))):
-            vf, policy = value_iteration_avg(graph, T, want_policy=True)
-            value = vf(y0)
-            traj = _horizon_trajectory(graph, y0, policy)
+        horizons = sorted(set(_parse_ints(args.values)))
+        S = _horizon_table_upto(graph, horizons)
+        policy = _horizon_policy(graph, S)
+        for T in horizons:
+            value = float(S[T, y0] / T)
+            traj = _horizon_trajectory(graph, y0, policy[policy.shape[0] - T :])
             dist = distance_to_W(occupational_measure(traj))
             rows.append([float(T), value, value - d_star, dist])
     elif args.sweep == "alpha":

@@ -4,8 +4,13 @@ The finite-horizon recursion works on unnormalized sums S_T(y) = T * V_T(y),
 
     S_T(y) = min over admissible u of  k(y, u) + S_{T-1}(f(y, u)),   S_0 = 0,
 
-so V_T is exact up to float addition.  programs.v_per shares the recursion
-(_horizon_sums): it is Karp's table on the reversed graph.  Discounted
+so V_T is exact up to float addition.  _horizon_table runs it once and
+keeps every row S_0..S_T, and _horizon_policy reads the lowest minimizing
+pair for every remaining-step count off that table, a fixed block of rows
+at a time; value_iteration_avg is a view of the two.  A caller that needs
+several horizons (the CLI's bracket and T sweep) builds one table, up to
+the largest, and programs._min_mean_cycle reads Karp's table on the
+reversed graph off the same function.  Discounted
 values solve the fixed point h(y) = min over u of (1 - alpha) k(y, u) +
 alpha h(f(y, u)) by Howard policy iteration: each stationary policy is
 evaluated exactly by one linear solve, and a state changes its pair only
@@ -171,14 +176,46 @@ def _segment_argmin_pair(values: np.ndarray, per_state_min: np.ndarray, graph: G
     return np.minimum.reduceat(candidates, graph.state_offset[:-1], axis=-1)
 
 
-def _horizon_sums(graph: Graph, T: int):
-    """Yield (totals, S_k) for k = 1..T: the pair-indexed lookahead
-    k(y, u) + S_{k-1}(f(y, u)) and its per-state minimum S_k."""
-    S = np.zeros(graph.n_states)
-    for _ in range(T):
-        totals = graph.pair_cost + S[graph.pair_succ]
-        S = _segment_min(totals, graph)
-        yield totals, S
+def _check_horizon(T: int) -> None:
+    """Reject a horizon below one step."""
+    if T < 1:
+        raise ValueError("horizon must be at least 1")
+
+
+def _horizon_table(graph: Graph, T: int) -> np.ndarray:
+    """The (T + 1, n_states) table of the recursion: row k is S_k, the
+    cheapest k-step total from each state, row 0 being zero."""
+    S = np.zeros((T + 1, graph.n_states))
+    cost, succ, offsets = graph.pair_cost, graph.pair_succ, graph.state_offset[:-1]
+    S_k = S[0]
+    for k in range(1, T + 1):
+        # S_{k-1}(f) + k(y, u), added in place: float addition commutes
+        # exactly, so this is the lookahead k(y, u) + S_{k-1}(f) itself
+        lookahead = S_k[succ]
+        lookahead += cost
+        S_k = S[k] = np.minimum.reduceat(lookahead, offsets)
+    return S
+
+
+# Rows of lookahead held at once by _horizon_policy: a (block, n_pairs)
+# array, never one per horizon step.
+_POLICY_BLOCK = 256
+
+
+def _horizon_policy(graph: Graph, S: np.ndarray) -> np.ndarray:
+    """The (T, n_states) pair table of a horizon table S of T + 1 rows:
+    row t is the lowest pair attaining S_{T-t}, the pair to use at time t
+    when T - t steps remain.  It is rebuilt from k(y, u) + S_{r-1}(f(y, u))
+    by the same float operations as S_r, so ties are exact."""
+    T = S.shape[0] - 1
+    policy = np.empty((T, graph.n_states), dtype=int)
+    for k0 in range(0, T, _POLICY_BLOCK):
+        k1 = min(k0 + _POLICY_BLOCK, T)
+        lookahead = graph.pair_cost + S[k0:k1, graph.pair_succ]
+        # block row r - 1 - k0 attains S_r, which is policy row T - r
+        best = _segment_argmin_pair(lookahead, S[k0 + 1 : k1 + 1], graph)
+        policy[T - k1 : T - k0] = best[::-1]
+    return policy
 
 
 def value_iteration_avg(
@@ -188,16 +225,14 @@ def value_iteration_avg(
 
     With want_policy=True also returns a (T, n_states) table of pair
     indices: row t is the cost-minimizing pair to use at time t when T - t
-    steps remain, ties resolved to the lowest action index.
+    steps remain, ties resolved to the lowest action index.  Both are views
+    of _horizon_table and _horizon_policy, which a caller needing several
+    horizons reads once, up to the largest.
     """
-    if T < 1:
-        raise ValueError("horizon must be at least 1")
-    policy = np.empty((T, graph.n_states), dtype=int) if want_policy else None
-    for remaining, (totals, S) in enumerate(_horizon_sums(graph, T), 1):
-        if want_policy:
-            policy[T - remaining] = _segment_argmin_pair(totals, S, graph)
-    vf = ValueFunction(values=S / T, horizon=T, iterations=T)
-    return (vf, policy) if want_policy else vf
+    _check_horizon(T)
+    S = _horizon_table(graph, T)
+    vf = ValueFunction(values=S[T] / T, horizon=T, iterations=T)
+    return (vf, _horizon_policy(graph, S)) if want_policy else vf
 
 
 def _check_alpha(alpha: float) -> None:

@@ -12,9 +12,16 @@ and psi is flat along the visited states, psi(y(t)) = psi(y0).  Tightness
 at every step is sufficient for optimality of the process; for processes
 that are periodic from time zero it is also necessary once the
 certificate itself is optimal.  The eta potential doubles as a relative
-value function: greedy minimization of k + eta(f) recovers an optimal
-feedback, and eta's drift accounts exactly for the gap between finite
-horizon averages and the limit value.
+value function.  Greedy minimization of k + eta(f) (extract_feedback)
+picks, at every state that has one, a pair on which the certificate
+inequality is tight, so a greedy run from y0 that meets only such states,
+with psi flat along it, attains V(y0); eta's drift then accounts exactly
+for the gap between its finite horizon averages and the limit value
+(cost_gap_identity).  Not every state has a tight pair, so the greedy
+feedback of an optimal certificate need not be optimal from y0: the cycle
+recursion's eta(v) = min over k of S_k(v) - k mu has none at a state where
+only k = 0 attains that minimum, y0 included when its transient costs
+more than mu per step.
 
 The checks take V(y0) as a plain number and psi and eta as arrays with one
 finite entry per state; any other array, or a certificate whose mu is not
@@ -196,7 +203,9 @@ def check_necessary_periodic(
 def extract_feedback(graph: Graph, eta: np.ndarray) -> np.ndarray:
     """Greedy feedback from a relative value function, given as one value
     per state: per state, the lowest-index action minimizing
-    k(y, u) + eta(f(y, u))."""
+    k(y, u) + eta(f(y, u)).  For a certificate's eta that action is tight
+    wherever the state has a tight pair, which does not make the feedback
+    optimal (see the module docstring)."""
     eta = _per_state(graph, eta, "eta")
     lookahead = graph.pair_cost + eta[graph.pair_succ]
     best_pairs = _segment_argmin_pair(lookahead, _segment_min(lookahead, graph), graph)

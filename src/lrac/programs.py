@@ -64,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dp import PeriodicProcess, _horizon_sums, _segment_argmin_pair
+from .dp import PeriodicProcess, _horizon_table
 from .measures import (
     FlowMeasure,
     MetricBasis,
@@ -396,13 +396,12 @@ def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float,
     the minimizing v.  Its N + 1 states repeat; cutting out the first cycle
     C leaves an (N - |C|)-step walk from v, so cost(C) <= S_N(v) -
     S_{N-|C|}(v) <= |C| lam and C is optimal (Chaturvedi & McConnell 2017).
+    The argmin is read only at the walk's states: the lowest pair of z
+    whose k(z, u) + S_{k-1}(f(z, u)) equals S_k(z) exactly, the same float
+    sum that gave S_k(z).
     """
     N = states.size
-    S = np.zeros((N + 1, graph.n_states))
-    totals = np.empty((N, graph.n_pairs))
-    for k, (lookahead, S_k) in enumerate(_horizon_sums(graph, N)):
-        totals[k], S[k + 1] = lookahead, S_k
-    best_pair = _segment_argmin_pair(totals, S[1:], graph)  # row k - 1 for S_k
+    S = _horizon_table(graph, N)
     S_states = S[:, states]
     means = ((S_states[N] - S_states[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
     best_val = float(means.min())
@@ -411,9 +410,13 @@ def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float,
     seen: dict[int, int] = {}
     walk: list[int] = []
     z = int(states[np.argmin(means)])
+    offset = graph.state_offset
     while z not in seen:
         seen[z] = len(walk)
-        walk.append(int(best_pair[N - 1 - len(walk), z]))
+        k = N - len(walk)  # steps left, S_k(z) to attain
+        pairs = np.arange(offset[z], offset[z + 1])
+        lookahead = graph.pair_cost[pairs] + S[k - 1, graph.pair_succ[pairs]]
+        walk.append(int(pairs[np.flatnonzero(lookahead == S[k, z])[0]]))
         z = int(graph.pair_succ[walk[-1]])
     cycle = walk[seen[z] :]
     mean = float(np.mean(graph.pair_cost[cycle]))

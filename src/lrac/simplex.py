@@ -174,11 +174,16 @@ def solve(
         Tb[m, : N + m] = cost - cb @ Tb[:m, : N + m]
         Tb[m, -1] = -(cb @ Tb[:m, -1])
 
+    # The rank-one update is written into one scratch tableau per solve,
+    # not into a fresh tableau-sized temporary per pivot.
+    update = np.empty_like(Tb)
+
     def pivot(i: int, j: int) -> None:
         Tb[i] /= Tb[i, j]
         col = Tb[:, j].copy()
         col[i] = 0.0
-        Tb[...] -= np.outer(col, Tb[i])
+        np.multiply.outer(col, Tb[i], out=update)
+        Tb[...] -= update
         basis[i] = j
         if lexicographic:
             np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])

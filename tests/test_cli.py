@@ -401,6 +401,29 @@ class TestExitCodes:
     def test_non_finite_theta_is_usage_error(self, capsys, argv):
         assert _rejected(capsys, argv) == "invalid arguments: theta must be finite\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "toy", "--y0", "15", "--T", "0"],
+            ["solve", "--problem", "toy", "--y0", "15", "--T=-3,4"],
+            ["sweep", "--problem", "toy", "--y0", "15", "--sweep", "T", "--values", "0,4"],
+            ["sweep", "--problem", "toy", "--y0", "15", "--sweep", "T", "--values=-2"],
+        ],
+    )
+    def test_horizon_below_one_is_usage_error(self, capsys, argv):
+        assert _rejected(capsys, argv) == "invalid arguments: horizon must be at least 1\n"
+
+    def test_no_horizons_is_an_empty_chain(self, capsys):
+        code, out = _run(capsys, ["solve", "--problem", "toy", "--y0", "15", "--T="])
+        assert code == 0
+        result = json.loads(out)
+        assert result["chain"] == [] and result["V_T"] == {}
+        code, out = _run(
+            capsys, ["solve", "--problem", "toy", "--y0", "15", "--T=", "--format", "csv"]
+        )
+        assert code == 0
+        assert out == "T,lower,V_T,upper,lower_ok,upper_ok\n"
+
     def test_problem_directory_is_usage_error(self, capsys, tmp_path):
         err = _rejected(capsys, ["solve", "--problem", str(tmp_path), "--y0", "0"])
         assert err.startswith(f"problem input rejected: {tmp_path}: cannot read"), err
@@ -599,6 +622,41 @@ class TestOneSearchPerCommand:
         code, _ = _run(capsys, argv)
         assert code == 0
         assert seen == [0]
+
+
+class TestOneHorizonTable:
+    """A command's V_T values and horizon policies come from one horizon
+    table, run up to its largest horizon.  The cycle recursion's own
+    tables (Karp's, inside programs) are not counted here."""
+
+    @pytest.mark.parametrize(
+        "argv, longest",
+        [
+            ("solve --problem toy --y0 15 --T 4,16,64", 64),
+            ("solve --problem threestate --y0 0 --T 64,4,16,4", 64),
+            ("sweep --problem toy --y0 15 --sweep T --values 2,4,8,16,32", 32),
+            ("sweep --problem threestate --y0 0 --sweep T --values 300,1,257", 300),
+            ("verify --problem threestate --y0 0", 100),
+        ],
+    )
+    def test_table_count(self, capsys, monkeypatch, argv, longest):
+        real_table, real_policy = lrac.cli._horizon_table, lrac.cli._horizon_policy
+        tables, policies = [], []
+
+        def table(graph, T):
+            tables.append(T)
+            return real_table(graph, T)
+
+        def policy(graph, S):
+            policies.append(S.shape[0] - 1)
+            return real_policy(graph, S)
+
+        monkeypatch.setattr(lrac.cli, "_horizon_table", table)
+        monkeypatch.setattr(lrac.cli, "_horizon_policy", policy)
+        code, _ = _run(capsys, argv.split())
+        assert code == 0
+        assert tables == [longest]
+        assert policies == ([longest] if "sweep" in argv else [])
 
 
 _LARGE = [

@@ -4,6 +4,7 @@ policies, rollouts, and the periodic process container."""
 import numpy as np
 import pytest
 
+import lrac.dp
 from lrac import (
     ControlProblem,
     InadmissibleAction,
@@ -78,6 +79,10 @@ class TestHorizonValues:
         with pytest.raises(ValueError):
             value_iteration_avg(toy_graph, 0)
 
+    def test_negative_horizon_rejected(self, toy_graph):
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            value_iteration_avg(toy_graph, -3)
+
     def test_policy_table_attains_value(self, threestate_graph):
         g = threestate_graph
         T = 6
@@ -91,6 +96,55 @@ class TestHorizonValues:
                 total += g.pair_cost[pair]
                 y = int(g.pair_succ[pair])
             assert total / T == pytest.approx(vf(y0), abs=1e-12)
+
+
+def _horizon_reference(graph, T):
+    """V_T and the horizon policy table by one plain step per remaining
+    count: the full pair lookahead, then per state its minimum and the
+    first pair attaining it."""
+    segments = [graph.pairs_of_state(y) for y in range(graph.n_states)]
+    S = np.zeros(graph.n_states)
+    policy = np.empty((T, graph.n_states), dtype=int)
+    for remaining in range(1, T + 1):
+        lookahead = graph.pair_cost + S[graph.pair_succ]
+        S = np.array([lookahead[pairs].min() for pairs in segments])
+        policy[T - remaining] = [pairs[np.argmin(lookahead[pairs])] for pairs in segments]
+    return S / T, policy
+
+
+class TestHorizonTable:
+    """value_iteration_avg is a view of one horizon table and its blocked
+    policy read-off; both must equal the plain per-step recursion exactly,
+    across the policy's block edges."""
+
+    @pytest.mark.parametrize("T", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("name", ["toy", "threestate", "random20"])
+    def test_matches_plain_steps(self, toy_graph, threestate_graph, name, T):
+        graph = {
+            "toy": toy_graph,
+            "threestate": threestate_graph,
+            "random20": build_graph(random_problem(20, 3, 0)),
+        }[name]
+        vf, policy = value_iteration_avg(graph, T, want_policy=True)
+        values, want = _horizon_reference(graph, T)
+        assert np.array_equal(vf.values, values)
+        assert np.array_equal(policy, want)
+        assert vf.horizon == T and vf.iterations == T
+
+    def test_policy_never_holds_every_step(self, toy_graph, monkeypatch):
+        # the (rows, n_pairs) lookahead is read a fixed block at a time
+        real = lrac.dp._segment_argmin_pair
+        rows = []
+
+        def recording(values, per_state_min, graph):
+            rows.append(values.shape[0] if values.ndim == 2 else 1)
+            return real(values, per_state_min, graph)
+
+        monkeypatch.setattr(lrac.dp, "_segment_argmin_pair", recording)
+        _, policy = value_iteration_avg(toy_graph, 1000, want_policy=True)
+        assert policy.shape == (1000, toy_graph.n_states)
+        block = lrac.dp._POLICY_BLOCK
+        assert block < 1000 and max(rows) == block and sum(rows) == 1000
 
 
 class TestDiscountedValues:

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lrac.programs
 from lrac import (
     ControlProblem,
     InaccurateSolution,
@@ -474,6 +475,60 @@ class TestCycleSolver:
                 assert abs(
                     v_per(graph, y0).value - solve_dual(graph, y0).value
                 ) <= 1e-7 * scale
+
+
+def _min_mean_cycle_reference(graph, states):
+    """_min_mean_cycle with the whole argmin table: every step's pair
+    lookahead kept, its lowest minimizing pair per state, then the walk."""
+    N = states.size
+    S = np.zeros((N + 1, graph.n_states))
+    best = np.empty((N + 1, graph.n_states), dtype=int)
+    segments = [graph.pairs_of_state(y) for y in range(graph.n_states)]
+    for k in range(1, N + 1):
+        lookahead = graph.pair_cost + S[k - 1][graph.pair_succ]
+        S[k] = [lookahead[pairs].min() for pairs in segments]
+        best[k] = [pairs[np.argmin(lookahead[pairs])] for pairs in segments]
+    S_states = S[:, states]
+    means = ((S_states[N] - S_states[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
+    seen, walk = {}, []
+    z = int(states[np.argmin(means)])
+    while z not in seen:
+        seen[z] = len(walk)
+        walk.append(int(best[N - len(walk), z]))
+        z = int(graph.pair_succ[walk[-1]])
+    cycle = walk[seen[z] :]
+    return cycle, float(np.mean(graph.pair_cost[cycle])), S
+
+
+class TestCycleWalk:
+    """_min_mean_cycle reads the argmin only at its walk's states; the
+    witnesses and certificates must be those of the full argmin table."""
+
+    def test_matches_full_table(self, toy_graph, threestate_graph, random_graphs):
+        # integer costs from {0, 1, 2} tie many lookaheads exactly
+        tied = []
+        for seed in range(12):
+            problem = random_problem(3 + seed % 6, 3, seed)
+            drawn = np.random.default_rng(seed).integers(0, 3, size=problem.successor.shape)
+            cost = np.where(problem.successor >= 0, drawn.astype(float), np.nan)
+            tied.append(build_graph(dataclasses.replace(problem, cost=cost)))
+        for graph in [toy_graph, threestate_graph, *random_graphs, *tied]:
+            for y0 in range(graph.n_states):
+                reach = reachable_states(graph, y0)[0]
+                cycle, mean, S = lrac.programs._min_mean_cycle(graph, reach)
+                want_cycle, want_mean, want_S = _min_mean_cycle_reference(graph, reach)
+                assert cycle == want_cycle
+                assert mean == want_mean
+                assert np.array_equal(S, want_S)
+
+    def test_v_per_witnesses_unchanged(self, random_graphs, monkeypatch):
+        starts = [(g, y0) for g in random_graphs for y0 in range(g.n_states)]
+        got = [v_per(g, y0) for g, y0 in starts]
+        monkeypatch.setattr(lrac.programs, "_min_mean_cycle", _min_mean_cycle_reference)
+        for (g, y0), res in zip(starts, got):
+            want = v_per(g, y0)
+            assert res.to_dict() == want.to_dict()
+            assert res.cert.to_dict() == want.cert.to_dict()
 
 
 class TestReachability:

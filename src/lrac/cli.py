@@ -495,6 +495,10 @@ def main(argv: list[str] | None = None) -> int:
         # IterationLimit, InaccurateSolution and PrimalInfeasible subclass it
         print(f"solver failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # a horizon table too large to allocate; numpy raises a private subclass
+        print(f"solver failed: MemoryError: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -554,8 +554,12 @@ def project_to_W(measure: OccupationalMeasure, basis: MetricBasis) -> Projection
     at cost sum_j w_j (d+_j + d-_j); since every w_j > 0 an optimum never
     holds both parts of one gap, so it is the weighted sum of |gaps|.  The
     program is highly degenerate and is solved with the lexicographic
-    ratio test, under which the simplex cannot cycle.  An optimal x that misses the
-    probability simplex by more than roundoff raises InaccurateSolution.
+    ratio test, under which the simplex cannot cycle.  Gap row j holds
+    -e_j and +e_j (the columns of d+_j and d-_j), so the simplex starts it
+    on a gap column rather than an artificial, and phase 1 carries
+    artificials only for the mass and stationarity rows.  An optimal x
+    that misses the probability simplex by more than roundoff raises
+    InaccurateSolution.
     """
     if membership_W(measure):
         return ProjectionResult(distance=0.0, nearest=measure, iterations=0)

@@ -6,21 +6,32 @@ negative parts internally.  Inequalities must be brought to this form by
 the caller with explicit slack variables.
 
 Pivoting uses Dantzig's rule (most negative reduced cost, lowest index on
-ties) and switches permanently to Bland's rule once the objective has
-stalled for 2 * rows consecutive iterations, which rules out cycling on
-the degenerate, highly redundant systems built elsewhere in this package.
-Artificial columns stay in the tableau through phase two, blocked from
-entering; their reduced costs there are the negated row duals, which is
-how the dual vector is reported.
+ties).  Under the default ratio test it switches permanently to Bland's
+rule once the objective has stalled for 2 * rows consecutive iterations,
+which rules out cycling on the degenerate, highly redundant systems built
+elsewhere in this package.  Artificial columns stay in the tableau through
+phase two, blocked from entering; their reduced costs there are the
+negated row duals, which is how the dual vector is reported.
+
+Phase 1 starts every row from its artificial, except a row that holds
+both a +e_i and a -e_i column, such as a gap row <f, x> - d+ + d- = t:
+after the row flip that makes b nonnegative, it starts from its lowest
++e_i column, whose value b_i is feasible.  That column equals the row's
+artificial, so the first basis is still I and the artificial block of
+the tableau still holds B^-1.
 
 A caller may ask for the lexicographic ratio test (Dantzig, Orden and
 Wolfe 1955) per call, solve(lp, lexicographic=True).  From the first
 pivot on, ties in the ratio test are then broken by the lexicographically
 smallest tied row of B^-1 divided by the pivot column, B^-1 being the
-artificial block of the tableau.  The rows of [b | B^-1] start
-lexicographically positive and, in exact arithmetic, the rule keeps them
-so, which rules out cycling on the highly degenerate projection program.
-Tied pivots below 1e-6 of the largest tie only through roundoff and are
+artificial block of the tableau, and by the lowest row among equal ones;
+only the columns in which the tied rows differ are compared.  The rows of
+[b | B^-1] start lexicographically positive and, in exact arithmetic, the
+rule keeps them so, which on its own rules out cycling on the highly
+degenerate projection program.  Such a solve therefore keeps Dantzig's
+entering rule throughout, with max_iter as its only guard: a switch to
+Bland's rule there stalls it for tens of thousands of pivots.  Tied
+pivots below 1e-6 of the largest tie only through roundoff and are
 passed over.  After each pivot of such a solve the right-hand side is
 clamped at zero, so a tie taken within tolerance cannot leave a basic
 variable at -1e-11.  The rule stays off by default: the other programs
@@ -164,7 +175,19 @@ def solve(
     Tb[:m, N : N + m] = np.eye(m)
     Tb[:m, -1] = b
 
+    # A row holding a +e_i, -e_i pair starts on its lowest +e_i column,
+    # not its artificial; B_0 stays I (see the module docstring).
     basis = np.arange(N, N + m)
+    units = np.flatnonzero(np.count_nonzero(A, axis=0) == 1)
+    if units.size:
+        rows = np.argmax(A[:, units] != 0.0, axis=0)
+        vals = A[rows, units]
+        lowest = np.full(m, N)  # N: the row has no +e_i column
+        np.minimum.at(lowest, rows[vals == 1.0], units[vals == 1.0])
+        minus = np.zeros(m, dtype=bool)
+        minus[rows[vals == -1.0]] = True
+        crash = minus & (lowest < N)
+        basis[crash] = lowest[crash]
     iterations = 0
     if max_iter is None:
         max_iter = 2000 + 200 * m + 20 * N
@@ -212,9 +235,7 @@ def solve(
             if tied.size == 1:
                 i = int(tied[0])
             elif lexicographic:
-                tied = tied[colvals[tied] >= 1e-6 * colvals[tied].max()]
-                R = Tb[tied, N : N + m] / colvals[tied, None]
-                i = int(tied[np.lexsort(R.T[::-1])[0]])
+                i = _lex_min_row(Tb[:m, N : N + m], tied, colvals)
             else:
                 i = int(tied[np.argmin(basis[tied])])
             pivot(i, j)
@@ -224,7 +245,10 @@ def solve(
                     f"simplex exceeded {max_iter} pivots on a {m}x{N} tableau"
                 )
             # The objective row rhs holds the negated objective, so progress
-            # pushes it up; a long flat stretch flips us to Bland's rule.
+            # pushes it up; under the default rule a long flat stretch flips
+            # us to Bland's rule.  The lexicographic rule cannot cycle.
+            if lexicographic:
+                continue
             if Tb[m, -1] > best + 1e-12 * (1.0 + abs(best)):
                 best = Tb[m, -1]
                 stall = 0
@@ -307,6 +331,23 @@ def solve(
         phase1_objective=phase1_obj,
         phase1_iterations=phase1_iterations,
     )
+
+
+def _lex_min_row(Binv: np.ndarray, tied: np.ndarray, colvals: np.ndarray) -> int:
+    """The tied row whose B^-1 row over its pivot is lexicographically
+    smallest, the lowest such row if several are equal; tied pivots below
+    1e-6 of the largest are passed over.
+
+    The rows are compared as Python lists over only the columns in which
+    they differ.  List comparison is lexicographic and min keeps the first
+    of equal rows, so this picks the row a full np.lexsort would.
+    """
+    piv = colvals[tied]
+    keep = piv >= 1e-6 * piv.max()
+    tied = tied[keep]
+    R = Binv[tied] / piv[keep, None]
+    rows = R[:, (R != R[0]).any(axis=0)].tolist()
+    return int(tied[min(range(len(rows)), key=rows.__getitem__)])
 
 
 def kkt_residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:

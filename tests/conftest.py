@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own algorithms: cycle values
 come from exhaustive simple-cycle enumeration, finite-horizon values from
-recursion over all action sequences, and discounted pairings from long
-truncated sums.
+recursion over all action sequences, discounted pairings from long
+truncated sums, and distances to W from HiGHS on the box form of the
+projection program.
 """
 
 import numpy as np
@@ -151,3 +152,35 @@ def discounted_pairing_brute(
     pairs = unrolled_pairs(traj, K)
     discounts = (1.0 - alpha) * alpha ** np.arange(K)
     return float(np.dot(discounts, np.asarray(q, dtype=float)[pairs]))
+
+
+def box_distance(measure, basis):
+    """The projection program in its box form, |<f_j, gamma> - t_j| <= e_j
+    at cost <w, e>, solved by HiGHS at feasibility tolerances of 1e-10
+    (at its defaults it can sit 2.7e-8 from the optimum)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    graph = measure.graph
+    n, P, J = graph.n_states, graph.n_pairs, basis.size
+    marg = np.zeros((n, P))
+    inflow = np.zeros((n, P))
+    marg[graph.pair_state, np.arange(P)] = 1.0
+    inflow[graph.pair_succ, np.arange(P)] = 1.0
+    A_eq = np.zeros((1 + n, P + J))
+    A_eq[0, :P] = 1.0
+    A_eq[1:, :P] = inflow - marg
+    b_eq = np.concatenate([[1.0], np.zeros(n)])
+    target = basis.matrix @ measure.weights
+    A_ub = np.block([[basis.matrix, -np.eye(J)], [-basis.matrix, -np.eye(J)]])
+    b_ub = np.concatenate([target, -target])
+    c = np.concatenate([np.zeros(P), basis.weights])
+    res = linprog(
+        c,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return res.fun

@@ -17,12 +17,18 @@ from lrac import (
     IterationLimit,
     build_graph,
     certificate_residuals,
+    chebyshev_basis,
+    occupational_measure,
     problem_to_dict,
+    random_problem,
     save_problem,
     solve_primal,
     toy_problem,
+    value_iteration_avg,
 )
 from lrac.cli import main
+
+from conftest import box_distance
 
 
 def _run(capsys, argv):
@@ -456,6 +462,19 @@ class TestExitCodes:
             "simplex exceeded 10 pivots on a 3x4 tableau\n"
         )
 
+    def test_table_too_large_exits_three(self, capsys, monkeypatch):
+        # `solve --T 99999999999` asks for a 1e11-row table; the stand-in
+        # raises what numpy raises there without allocating anything
+        def too_large(graph, T):
+            raise MemoryError(f"Unable to allocate a table with {T + 1} rows")
+
+        monkeypatch.setattr(lrac.cli, "_horizon_table", too_large)
+        assert main(["solve", "--problem", "toy", "--y0", "0", "--T", "99999999999"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "solver failed: MemoryError: Unable to allocate a table with 100000000000 rows\n"
+        )
 
     def test_measure_roundoff_exits_three(self, capsys, monkeypatch):
         real = lrac.simplex.solve
@@ -741,6 +760,27 @@ class TestProjectionSweeps:
         assert len(lines) - 1 == len(argv[-1].split(","))
         for line in lines[1:]:
             assert float(line.split(",")[-1]) >= -1e-9
+
+    @pytest.mark.parametrize(
+        "seed, sweep, values",
+        [(2, "T", "3,16,64"), (4, "alpha", _ALPHAS)],
+    )
+    def test_n80_sweeps_match_highs(self, capsys, seed, sweep, values):
+        # both exited 3 with IterationLimit while the lexicographic rule
+        # still switched to Bland's
+        argv = f"sweep --problem random --states 80 --seed {seed} --y0 40"
+        code, out = _run(capsys, [*argv.split(), "--sweep", sweep, "--values", values])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        graph = build_graph(random_problem(80, 3, seed))
+        basis = chebyshev_basis(graph)
+        for row in rows:
+            if sweep == "T":
+                _, policy = value_iteration_avg(graph, int(row[0]), want_policy=True)
+                m = occupational_measure(lrac.cli._horizon_trajectory(graph, 40, policy))
+            else:
+                m = lrac.cli._discounted_measure(graph, 40, float(row[0]))[1]
+            assert abs(float(row[3]) - box_distance(m, basis)) <= 1e-9
 
     def test_drift_is_a_solver_failure(self, capsys):
         code = main(

@@ -39,9 +39,9 @@ from lrac import (
     value_iteration_discounted,
 )
 from lrac import simplex
-from lrac.cli import _horizon_trajectory
+from lrac.cli import _discounted_measure, _horizon_trajectory
 
-from conftest import CHAIN_HORIZONS, min_mean_cycle_brute
+from conftest import CHAIN_HORIZONS, box_distance, min_mean_cycle_brute
 
 
 def _single_action(succ, cost, name="loop"):
@@ -673,29 +673,6 @@ def _sweep_measures(graph, y0):
     yield occupational_measure(_horizon_trajectory(graph, y0, policy))
 
 
-def _box_distance(measure, basis):
-    """The projection program in its box form, |<f_j, gamma> - t_j| <= e_j
-    at cost <w, e>, solved by HiGHS."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    graph = measure.graph
-    n, P, J = graph.n_states, graph.n_pairs, basis.size
-    marg = np.zeros((n, P))
-    inflow = np.zeros((n, P))
-    marg[graph.pair_state, np.arange(P)] = 1.0
-    inflow[graph.pair_succ, np.arange(P)] = 1.0
-    A_eq = np.zeros((1 + n, P + J))
-    A_eq[0, :P] = 1.0
-    A_eq[1:, :P] = inflow - marg
-    b_eq = np.concatenate([[1.0], np.zeros(n)])
-    target = basis.matrix @ measure.weights
-    A_ub = np.block([[basis.matrix, -np.eye(J)], [-basis.matrix, -np.eye(J)]])
-    b_ub = np.concatenate([target, -target])
-    c = np.concatenate([np.zeros(P), basis.weights])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs")
-    assert res.status == 0, res.message
-    return res.fun
-
-
 class TestProjection:
     def test_member_projects_to_itself(self, threestate_graph):
         w = np.zeros(5)
@@ -781,8 +758,36 @@ class TestProjection:
                 if membership_W(m):
                     continue
                 res = project_to_W(m, basis)
-                assert res.distance == pytest.approx(_box_distance(m, basis), abs=1e-8)
+                assert res.distance == pytest.approx(box_distance(m, basis), abs=1e-8)
                 assert membership_W(res.nearest, 1e-8)
                 assert res.distance <= rho(m, res.nearest, basis) + 1e-8
                 checked += 1
         assert checked >= 30, checked
+
+    @pytest.mark.parametrize(
+        "n, seed, y0, alpha, T",
+        [
+            (80, 0, 0, None, 3),
+            (80, 0, 0, 0.9, None),
+            (80, 1, 0, 0.9, None),
+            (80, 2, 40, None, 3),
+            (80, 3, 40, None, 16),
+            (120, 0, 0, 0.9, None),
+        ],
+    )
+    def test_large_distances_match_highs(self, n, seed, y0, alpha, T):
+        # random off-W measures; n = 80, seed 2, T = 3 hit the iteration
+        # limit before the gap rows started on their slacks, and n = 120,
+        # seed 0, alpha = 0.9 still does if the lexicographic rule switches
+        # to Bland's
+        graph = build_graph(random_problem(n, 3, seed))
+        if alpha is None:
+            _, policy = value_iteration_avg(graph, T, want_policy=True)
+            m = occupational_measure(_horizon_trajectory(graph, y0, policy))
+        else:
+            m = _discounted_measure(graph, y0, alpha)[1]
+        assert not membership_W(m)
+        basis = chebyshev_basis(graph)
+        res = project_to_W(m, basis)
+        assert abs(res.distance - box_distance(m, basis)) <= 1e-9
+        assert membership_W(res.nearest, 1e-8)

@@ -20,9 +20,11 @@ from lrac import (
     rollout,
     solve,
     solve_primal,
+    toy_problem,
     value_iteration_avg,
     value_iteration_discounted,
 )
+from lrac import simplex
 from lrac.cli import _horizon_trajectory, main
 
 
@@ -223,27 +225,57 @@ class TestRandomPrograms:
         assert a.iterations == bsol.iterations
 
 
+def _projection_lp(graph, weights, basis):
+    """The split-gap projection program of project_to_W, stated directly:
+    rows mass, n stationarity and J gaps over columns (gamma, d+, d-)."""
+    n, P, J = graph.n_states, graph.n_pairs, basis.size
+    A = np.zeros((1 + n + J, P + 2 * J))
+    A[0, :P] = 1.0
+    np.add.at(A, (1 + graph.pair_succ, np.arange(P)), 1.0)
+    np.add.at(A, (1 + graph.pair_state, np.arange(P)), -1.0)
+    A[n + 1 :, :P] = basis.matrix
+    A[n + 1 :, P : P + J] = -np.eye(J)
+    A[n + 1 :, P + J :] = np.eye(J)
+    b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ weights])
+    c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
+    return LinearProgram(c=c, A=A, b=b)
+
+
+def _degenerate_lp(rng, gaps):
+    """A small integer program with a pinned mass row and a sparse feasible
+    point, so many basic values are zero and ratio-test ties are exact; with
+    gaps, every row but the mass row also holds a -e_i, +e_i pair."""
+    m = int(rng.integers(3, 10))
+    n = int(rng.integers(m + 2, 3 * m + 2))
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    x0 = np.where(rng.uniform(size=n) < 0.3, rng.integers(1, 3, size=n), 0).astype(float)
+    A = np.vstack([np.ones(n), A])
+    b = A @ x0
+    c = rng.integers(-3, 4, size=n).astype(float)
+    if gaps:
+        A = np.hstack([A, -np.eye(m + 1)[:, 1:], np.eye(m + 1)[:, 1:]])
+        c = np.concatenate([c, np.ones(2 * m)])
+    return LinearProgram(c=c, A=A, b=b)
+
+
+def _lexsort_row(Binv, tied, colvals):
+    """The tie-break as a full np.lexsort over every B^-1 column."""
+    tied = tied[colvals[tied] >= 1e-6 * colvals[tied].max()]
+    R = Binv[tied] / colvals[tied, None]
+    return int(tied[np.lexsort(R.T[::-1])[0]])
+
+
 class TestLexicographic:
     def test_degenerate_projection_terminates(self):
         # The split-gap projection program of a stationary gamma (the measure
-        # program's optimum on random n = 20, seed 2, from y0 = 0), stated
-        # directly: every gap is zero at the optimum, so the program is
-        # thoroughly degenerate.  With lowest-index tie breaking the solve
-        # runs into its iteration limit.
+        # program's optimum on random n = 20, seed 2, from y0 = 0): every gap
+        # is zero at the optimum, so the program is thoroughly degenerate.
+        # With lowest-index tie breaking the solve runs into its iteration
+        # limit.
         graph = build_graph(random_problem(20, 3, 2))
         gamma = solve_primal(graph, 0).pair.gamma
-        basis = chebyshev_basis(graph)
-        n, P, J = graph.n_states, graph.n_pairs, basis.size
-        A = np.zeros((1 + n + J, P + 2 * J))
-        A[0, :P] = 1.0
-        np.add.at(A, (1 + graph.pair_succ, np.arange(P)), 1.0)
-        np.add.at(A, (1 + graph.pair_state, np.arange(P)), -1.0)
-        A[n + 1 :, :P] = basis.matrix
-        A[n + 1 :, P : P + J] = -np.eye(J)
-        A[n + 1 :, P + J :] = np.eye(J)
-        b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ gamma.weights])
-        c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
-        sol = solve(LinearProgram(c=c, A=A, b=b), lexicographic=True)
+        lp = _projection_lp(graph, gamma.weights, chebyshev_basis(graph))
+        sol = solve(lp, lexicographic=True)
         assert sol.status == "optimal"
         assert sol.objective <= 1e-9
         assert sol.x.min() >= 0.0
@@ -262,42 +294,124 @@ class TestLexicographic:
         steps = 3 * graph.n_states + 8
         traj = rollout(graph, y0, greedy_policy(graph, vf), steps)
         measure = discounted_occupational_measure(traj, alpha)
-        basis = chebyshev_basis(graph)
-        n, P, J = graph.n_states, graph.n_pairs, basis.size
-        A = np.zeros((1 + n + J, P + 2 * J))
-        A[0, :P] = 1.0
-        np.add.at(A, (1 + graph.pair_succ, np.arange(P)), 1.0)
-        np.add.at(A, (1 + graph.pair_state, np.arange(P)), -1.0)
-        A[n + 1 :, :P] = basis.matrix
-        A[n + 1 :, P : P + J] = -np.eye(J)
-        A[n + 1 :, P + J :] = np.eye(J)
-        b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ measure.weights])
-        c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
-        sol = solve(LinearProgram(c=c, A=A, b=b), lexicographic=True)
+        lp = _projection_lp(graph, measure.weights, chebyshev_basis(graph))
+        sol = solve(lp, lexicographic=True)
         assert sol.status == "optimal"
-        assert abs(sol.x[:P].sum() - 1.0) <= 1e-9
-        ref = scipy_optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert abs(sol.x[: graph.n_pairs].sum() - 1.0) <= 1e-9
+        ref = scipy_optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
         assert ref.status == 0
         assert abs(sol.objective - ref.fun) <= 1e-9
 
+    def test_identical_tied_rows_pick_the_lowest(self):
+        # over their pivots, rows 1 and 3 of B^-1 are equal and smallest;
+        # row 0's pivot is below 1e-6 of the largest and is passed over
+        Binv = np.array([[0, 0, 0, 1], [0, 2, 0, 2], [0, 3, 0, 1], [0, 4, 0, 4]], dtype=float)
+        colvals = np.array([1e-9, 2.0, 1.0, 4.0])
+        assert simplex._lex_min_row(Binv, np.array([0, 1, 2, 3]), colvals) == 1
+        assert simplex._lex_min_row(Binv, np.array([1, 3]), colvals) == 1
+        assert simplex._lex_min_row(Binv, np.array([2, 3]), colvals) == 3
+        # one row left after the small pivot is dropped: no column differs
+        assert simplex._lex_min_row(Binv, np.array([0, 1]), colvals) == 1
 
-def _reread_measure():
-    # The projection of the T = 64 horizon measure of random n = 30, seed 1,
-    # from y0 = 1 misses A x = b through tableau roundoff, so its basic
-    # values are re-read from the final basis.
-    graph = build_graph(random_problem(30, 3, 1))
-    _, policy = value_iteration_avg(graph, 64, want_policy=True)
-    return graph, occupational_measure(_horizon_trajectory(graph, 1, policy))
+    def test_narrowing_matches_full_lexsort(self, monkeypatch):
+        # at every tie of every solve, the narrowed row is the full lexsort's
+        real = simplex._lex_min_row
+        seen = []
+
+        def checked(Binv, tied, colvals):
+            i = real(Binv, tied, colvals)
+            assert i == _lexsort_row(Binv, tied, colvals)
+            seen.append(tied.size)
+            return i
+
+        monkeypatch.setattr(simplex, "_lex_min_row", checked)
+        rng = np.random.default_rng(19)
+        for k in range(80):
+            sol = solve(_degenerate_lp(rng, gaps=k % 2 == 1), lexicographic=True)
+            assert sol.status in ("optimal", "unbounded")
+        graph = build_graph(random_problem(10, 3, 0))
+        basis = chebyshev_basis(graph, J=16)
+        for y0 in range(4):
+            _, policy = value_iteration_avg(graph, 16, want_policy=True)
+            measure = occupational_measure(_horizon_trajectory(graph, y0, policy))
+            lp = _projection_lp(graph, measure.weights, basis)
+            assert solve(lp, lexicographic=True).status == "optimal"
+        assert len(seen) >= 200 and max(seen) >= 5, (len(seen), max(seen))
 
 
-def _singular(B, rhs):
-    raise np.linalg.LinAlgError("Singular matrix")
+class TestGapRowCrash:
+    def test_gap_rows_start_on_their_slacks(self):
+        # every row holds a -e_i, +e_i pair, so the first basis is feasible
+        # whatever the signs of b and phase 1 makes no pivot
+        rng = np.random.default_rng(4)
+        F = rng.normal(size=(5, 7))
+        b = rng.normal(size=5)
+        lp = LinearProgram(
+            c=np.concatenate([np.zeros(7), np.full(10, 1.0)]),
+            A=np.hstack([F, -np.eye(5), np.eye(5)]),
+            b=b,
+        )
+        for lexicographic in (False, True):
+            sol = solve(lp, lexicographic=lexicographic)
+            assert sol.status == "optimal"
+            assert sol.phase1_iterations == 0
+            _assert_kkt(lp, sol)
+
+    def test_lone_unit_columns_keep_their_artificials(self):
+        # column 1 is e_0 with no -e_0 partner, so row 0 starts on its
+        # artificial; crashing lone columns too changes solve_primal's pivot path
+        lp = LinearProgram(c=np.array([1.0, 3.0]), A=np.array([[2.0, 1.0]]), b=np.array([1.0]))
+        for lexicographic in (False, True):
+            sol = solve(lp, lexicographic=lexicographic)
+            assert sol.status == "optimal"
+            assert sol.phase1_iterations > 0
+
+    def test_projection_takes_fewer_pivots(self):
+        # the projection of toy's T = 16 measure from y0 = 0
+        graph = build_graph(toy_problem())
+        _, policy = value_iteration_avg(graph, 16, want_policy=True)
+        measure = occupational_measure(_horizon_trajectory(graph, 0, policy))
+        res = project_to_W(measure, chebyshev_basis(graph))
+        assert 0 < res.iterations < 188, res.iterations
+
+
+# The one projection found, over random n = 10 to 160 from several starts,
+# that still misses A x = b through tableau roundoff once the gap rows
+# start on their slacks: the T = 4 measure of random n = 120, seed 6, y0 = 0.
+_REREAD_SWEEP = [
+    "sweep", "--problem", "random", "--states", "120", "--seed", "6",
+    "--y0", "0", "--sweep", "T", "--values", "4",
+]
+
+
+@pytest.fixture
+def reread_lp():
+    """A program whose final basis is re-read, checked to be so here, so the
+    tests below cannot lose their trigger silently.  Its right-hand side is
+    of order 1e8, where relative roundoff of 1e-16 in the tableau misses
+    A x = b by more than FEAS_TOL."""
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(6, 14))
+    x0 = rng.uniform(0.0, 2.0, size=14)
+    lp = LinearProgram(c=rng.uniform(0.0, 1.0, size=14), A=A, b=1e8 * (A @ x0))
+    real, calls = np.linalg.solve, []
+
+    def counting(B, rhs):
+        calls.append(B.shape)
+        return real(B, rhs)
+
+    np.linalg.solve = counting
+    try:
+        assert solve(lp).status == "optimal"
+    finally:
+        np.linalg.solve = real
+    assert calls == [(6, 6)], "the fixture no longer re-reads its final basis"
+    return lp
 
 
 class TestFinalBasisReread:
-    def test_negative_basic_value_is_a_solver_failure(self, monkeypatch):
+    def test_negative_basic_value_is_a_solver_failure(self, reread_lp, monkeypatch):
         # one read below -FEAS_TOL must not be clamped away
-        graph, measure = _reread_measure()
         real = np.linalg.solve
 
         def low(B, rhs):
@@ -307,22 +421,28 @@ class TestFinalBasisReread:
 
         monkeypatch.setattr(np.linalg, "solve", low)
         with pytest.raises(InaccurateSolution, match="final basis is not primal feasible"):
-            project_to_W(measure, chebyshev_basis(graph))
+            solve(reread_lp)
 
-    def test_singular_basis_is_a_solver_failure(self, monkeypatch):
+    def test_singular_basis_is_a_solver_failure(self, reread_lp, monkeypatch):
         # LinAlgError is a ValueError, which the CLI would report as a usage error
-        graph, measure = _reread_measure()
-        monkeypatch.setattr(np.linalg, "solve", _singular)
+        def singular(B, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(InaccurateSolution, match="Singular matrix"):
-            project_to_W(measure, chebyshev_basis(graph))
+            solve(reread_lp)
 
     def test_singular_basis_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(np.linalg, "solve", _singular)
-        argv = [
-            "sweep", "--problem", "random", "--states", "30", "--seed", "1",
-            "--y0", "1", "--sweep", "T", "--values", "64",
-        ]
-        assert main(argv) == 3
+        calls = []
+
+        def singular(B, rhs):
+            calls.append(B.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code = main(_REREAD_SWEEP)
         captured = capsys.readouterr()
+        assert calls, "the sweep's projection no longer re-reads its final basis"
+        assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("solver failed: InaccurateSolution: ")

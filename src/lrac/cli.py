@@ -24,9 +24,9 @@ theta = 0 measure program, once, as its independent cross-check; a
 sweep's only LPs are its projections onto W.
 Every V_T a command prints is read off one dp._horizon_table, run up to
 its largest horizon: solve's chain, verify's horizon row and the rows of
-sweep --sweep T, which also unrolls each horizon's trajectory from the
-last T rows of one dp._horizon_policy.  Each horizon is checked by
-dp._check_horizon before the table is built.
+sweep --sweep T, which also reads each horizon's optimal trajectory off
+that table with dp._horizon_walk, T steps from y0.  Each horizon is
+checked by dp._check_horizon before the table is built.
 --out sends any command's report to a file instead of stdout, byte for
 byte what stdout would have shown.
 
@@ -60,8 +60,8 @@ from .builtin import make_problem
 from .dp import (
     Trajectory,
     _check_horizon,
-    _horizon_policy,
     _horizon_table,
+    _horizon_walk,
     greedy_policy,
     rollout,
     value_iteration_discounted,
@@ -160,19 +160,6 @@ def _horizon_table_upto(graph, horizons) -> np.ndarray:
     for T in horizons:
         _check_horizon(T)
     return _horizon_table(graph, max(horizons, default=0))
-
-
-def _horizon_trajectory(graph, y0: int, policy: np.ndarray) -> Trajectory:
-    """Unroll from y0 a horizon policy table, row t used at time t: the
-    last T rows of dp._horizon_policy are the horizon-T policy."""
-    # a step is a lookup in Python ints, not numpy scalar indexing
-    pick, succ = policy.item, graph.pair_succ.tolist()
-    pairs = []
-    y = int(y0)
-    for t in range(policy.shape[0]):
-        pairs.append(pick(t, y))
-        y = succ[pairs[-1]]
-    return Trajectory.from_pairs(graph, pairs)
 
 
 def _discounted_measure(graph, y0: int, alpha: float):
@@ -309,10 +296,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.sweep == "T":
         horizons = sorted(set(_parse_ints(args.values)))
         S = _horizon_table_upto(graph, horizons)
-        policy = _horizon_policy(graph, S)
         for T in horizons:
             value = float(S[T, y0] / T)
-            traj = _horizon_trajectory(graph, y0, policy[policy.shape[0] - T :])
+            traj = Trajectory.from_pairs(graph, _horizon_walk(graph, S, y0, T))
             dist = distance_to_W(occupational_measure(traj))
             rows.append([float(T), value, value - d_star, dist])
     elif args.sweep == "alpha":

@@ -5,12 +5,10 @@ The finite-horizon recursion works on unnormalized sums S_T(y) = T * V_T(y),
     S_T(y) = min over admissible u of  k(y, u) + S_{T-1}(f(y, u)),   S_0 = 0,
 
 so V_T is exact up to float addition.  _horizon_table runs it once and
-keeps every row S_0..S_T, and _horizon_policy reads the lowest minimizing
-pair for every remaining-step count off that table, a fixed block of rows
-at a time; value_iteration_avg is a view of the two.  A caller that needs
-several horizons (the CLI's bracket and T sweep) builds one table, up to
-the largest, and programs._min_mean_cycle reads Karp's table on the
-reversed graph off the same function.  Discounted
+keeps every row S_0..S_T; _horizon_walk reads one optimal path off it and
+_horizon_policy every state's pairs.  Callers needing several horizons
+build one table up to the largest, and programs._min_mean_cycle walks
+Karp's table on the reversed graph, built by the same function.  Discounted
 values solve the fixed point h(y) = min over u of (1 - alpha) k(y, u) +
 alpha h(f(y, u)) by Howard policy iteration: each stationary policy is
 evaluated exactly by one linear solve, and a state changes its pair only
@@ -197,6 +195,29 @@ def _horizon_table(graph: Graph, T: int) -> np.ndarray:
     return S
 
 
+def _horizon_walk(graph: Graph, S: np.ndarray, y: int, steps: int) -> list[int]:
+    """The pairs of an optimal steps-step path from y off a horizon table S:
+    with r steps left, the current state y's lowest pair whose k(y, u) +
+    S_{r-1}(f(y, u)) is S_r(y), the float sum _horizon_table took, so ties
+    are _horizon_policy's.  Reads only y's pairs; RuntimeError if none does."""
+    flat, n = memoryview(S.reshape(-1)), S.shape[1]  # S_r(z) is flat[r * n + z]
+    offset, options, pairs = graph.state_offset, {}, []
+    for r in range(steps, 0, -1):
+        if y not in options:  # y's (pair, cost, successor) triples, listed once
+            a, b = offset[y], offset[y + 1]
+            cost, succ = graph.pair_cost[a:b].tolist(), graph.pair_succ[a:b].tolist()
+            options[y] = list(zip(range(a, b), cost, succ))
+        target, prev = flat[r * n + y], (r - 1) * n
+        for g, c, z in options[y]:
+            if c + flat[prev + z] == target:
+                break
+        else:
+            raise RuntimeError(f"no pair of state {y} attains its {r}-step value {target}")
+        pairs.append(g)
+        y = z
+    return pairs
+
+
 # Rows of lookahead held at once by _horizon_policy: a (block, n_pairs)
 # array, never one per horizon step.
 _POLICY_BLOCK = 256
@@ -226,8 +247,7 @@ def value_iteration_avg(
     With want_policy=True also returns a (T, n_states) table of pair
     indices: row t is the cost-minimizing pair to use at time t when T - t
     steps remain, ties resolved to the lowest action index.  Both are views
-    of _horizon_table and _horizon_policy, which a caller needing several
-    horizons reads once, up to the largest.
+    of _horizon_table and _horizon_policy.
     """
     _check_horizon(T)
     S = _horizon_table(graph, T)

@@ -74,6 +74,8 @@ class ControlProblem:
         cost = np.asarray(self.cost, dtype=float)
         if states.ndim != 2:
             raise ProblemFormatError("states must be a 2-D array of coordinates")
+        if states.shape[1] == 0:
+            raise ProblemFormatError("each state needs at least one coordinate")
         n = states.shape[0]
         K = len(self.actions)
         if succ.shape != (n, K) or cost.shape != (n, K):

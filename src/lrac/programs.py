@@ -64,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dp import PeriodicProcess, _horizon_table
+from .dp import PeriodicProcess, _horizon_table, _horizon_walk
 from .measures import (
     FlowMeasure,
     MetricBasis,
@@ -315,8 +315,15 @@ def _k_star_reached(
     graph: Graph, reach: np.ndarray, dist: np.ndarray, theta: float
 ) -> ErgodicInnerResult:
     """k_star_theta from y0, given reach and dist of reachable_states(graph, y0),
-    so that one breadth-first search serves every theta."""
+    so that one breadth-first search serves every theta.
+
+    Raises ValueError for a theta so large that the recursion's N-step
+    sums, of shifted costs at most M + theta N in size, could overflow.
+    """
     _check_theta(theta)
+    N = reach.size
+    if not np.isfinite(2.0 * N * (graph.cost_bound + float(theta) * N)):
+        raise ValueError(f"theta {theta:g} is too large: the cycle recursion would overflow")
     return _cycle_measure(graph, theta * dist[graph.pair_state], reach)
 
 
@@ -392,13 +399,12 @@ def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float,
     Karp's theorem gives the optimal mean lam as the minimum over given v
     of max_{0 <= k < N} (S_N(v) - S_k(v)) / (N - k).
 
-    The cycle walks N steps along the argmin pairs (lowest on ties) from
-    the minimizing v.  Its N + 1 states repeat; cutting out the first cycle
-    C leaves an (N - |C|)-step walk from v, so cost(C) <= S_N(v) -
-    S_{N-|C|}(v) <= |C| lam and C is optimal (Chaturvedi & McConnell 2017).
-    The argmin is read only at the walk's states: the lowest pair of z
-    whose k(z, u) + S_{k-1}(f(z, u)) equals S_k(z) exactly, the same float
-    sum that gave S_k(z).
+    The cycle is cut from dp._horizon_walk's N steps from the minimizing
+    v, along the lowest argmin pairs.  Its N + 1 states repeat; cutting out
+    the first cycle C leaves an (N - |C|)-step walk from v, so cost(C) <=
+    S_N(v) - S_{N-|C|}(v) <= |C| lam and C is optimal (Chaturvedi &
+    McConnell 2017).  A NaN in the given states' columns raises
+    RuntimeError, from the walk or from the drift check.
     """
     N = states.size
     S = _horizon_table(graph, N)
@@ -406,21 +412,16 @@ def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float,
     means = ((S_states[N] - S_states[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
     best_val = float(means.min())
 
-    # Walk from the minimizing state; a state repeats within N steps.
-    seen: dict[int, int] = {}
-    walk: list[int] = []
     z = int(states[np.argmin(means)])
-    offset = graph.state_offset
+    walk = _horizon_walk(graph, S, z, N)
+    seen, t = {}, 0
     while z not in seen:
-        seen[z] = len(walk)
-        k = N - len(walk)  # steps left, S_k(z) to attain
-        pairs = np.arange(offset[z], offset[z + 1])
-        lookahead = graph.pair_cost[pairs] + S[k - 1, graph.pair_succ[pairs]]
-        walk.append(int(pairs[np.flatnonzero(lookahead == S[k, z])[0]]))
-        z = int(graph.pair_succ[walk[-1]])
-    cycle = walk[seen[z] :]
+        seen[z] = t
+        z = int(graph.pair_succ[walk[t]])
+        t += 1
+    cycle = walk[seen[z] : t]
     mean = float(np.mean(graph.pair_cost[cycle]))
-    if abs(mean - best_val) > 1e-6 * (1.0 + abs(best_val)):
+    if not abs(mean - best_val) <= 1e-6 * (1.0 + abs(best_val)):
         raise RuntimeError(
             f"cycle recovery drifted: table mean {best_val}, witness mean {mean}"
         )

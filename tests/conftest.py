@@ -7,10 +7,13 @@ truncated sums, and distances to W from HiGHS on the box form of the
 projection program.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lrac import (
+    Trajectory,
     build_graph,
     detect_cycle,
     random_problem,
@@ -128,6 +131,30 @@ def horizon_value_brute(graph, y0: int, T: int) -> float:
         )
 
     return go(int(y0), T) / T
+
+
+def tied_graphs() -> list:
+    """Random graphs with integer costs from {0, 1, 2}, which tie many
+    lookaheads exactly."""
+    graphs = []
+    for seed in range(12):
+        problem = random_problem(3 + seed % 6, 3, seed)
+        drawn = np.random.default_rng(seed).integers(0, 3, size=problem.successor.shape)
+        cost = np.where(problem.successor >= 0, drawn.astype(float), np.nan)
+        graphs.append(build_graph(dataclasses.replace(problem, cost=cost)))
+    return graphs
+
+
+def policy_trajectory(graph, y0: int, T: int) -> Trajectory:
+    """The horizon-T optimal trajectory from y0, unrolled from
+    value_iteration_avg's policy table, row t used at time t: the
+    measure `lrac sweep --sweep T` projects, read without dp's walk."""
+    _, policy = value_iteration_avg(graph, T, want_policy=True)
+    pairs, y = [], int(y0)
+    for row in policy:
+        pairs.append(int(row[y]))
+        y = int(graph.pair_succ[pairs[-1]])
+    return Trajectory.from_pairs(graph, pairs)
 
 
 def unrolled_pairs(traj, length: int) -> np.ndarray:

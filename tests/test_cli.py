@@ -7,11 +7,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import lrac.cli
+import lrac.dp
 from lrac import (
     DualCertificate,
     IterationLimit,
@@ -24,11 +26,10 @@ from lrac import (
     save_problem,
     solve_primal,
     toy_problem,
-    value_iteration_avg,
 )
 from lrac.cli import main
 
-from conftest import box_distance
+from conftest import box_distance, policy_trajectory
 
 
 def _run(capsys, argv):
@@ -410,6 +411,52 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["solve", "--problem", "threestate", "--y0", "0", "--theta", "1e308"],
+            ["sweep", "--problem", "threestate", "--y0", "0", "--sweep", "theta", "--values", "1e308"],
+        ],
+    )
+    def test_overflowing_theta_is_usage_error(self, capsys, argv):
+        # decided before any table arithmetic: no overflow warning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = _rejected(capsys, argv)
+        assert err.startswith("invalid arguments: theta 1e+308 is too large"), err
+
+    def test_large_finite_theta_is_exact(self, capsys):
+        argv = ["solve", "--problem", "threestate", "--y0", "0", "--theta", "1e300"]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        # the cycle 0 -> 1 -> 0 with theta on its second pair: (3 + 1 + theta) / 2
+        assert json.loads(out)["k_star_theta"] == {"1e+300": 5e299}
+
+    @pytest.mark.parametrize(
+        "extra", [["solve"], ["verify"], ["sweep", "--sweep", "T", "--values", "3"]], ids=str
+    )
+    def test_states_without_coordinates_are_rejected(self, capsys, tmp_path, extra):
+        # a sweep row off W used to recurse without end building the basis
+        path = tmp_path / "flat.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "flat",
+                    "states": [[], []],
+                    "actions": ["a", "b"],
+                    "transitions": [
+                        {"state": 0, "action": 0, "next": 1, "cost": 0.0},
+                        {"state": 0, "action": 1, "next": 0, "cost": 2.0},
+                        {"state": 1, "action": 0, "next": 0, "cost": 1.0},
+                    ],
+                }
+            )
+        )
+        err = _rejected(capsys, [extra[0], "--problem", str(path), "--y0", "0", *extra[1:]])
+        assert err == (
+            f"problem input rejected: {path}: each state needs at least one coordinate\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["solve", "--problem", "toy", "--y0", "15", "--T", "0"],
             ["solve", "--problem", "toy", "--y0", "15", "--T=-3,4"],
             ["sweep", "--problem", "toy", "--y0", "15", "--sweep", "T", "--values", "0,4"],
@@ -644,9 +691,10 @@ class TestOneSearchPerCommand:
 
 
 class TestOneHorizonTable:
-    """A command's V_T values and horizon policies come from one horizon
-    table, run up to its largest horizon.  The cycle recursion's own
-    tables (Karp's, inside programs) are not counted here."""
+    """A command's V_T values and horizon trajectories come from one
+    horizon table, run up to its largest horizon, and no command builds
+    the (T, n) horizon policy table.  The cycle recursion's own tables
+    (Karp's, inside programs) are not counted here."""
 
     @pytest.mark.parametrize(
         "argv, longest",
@@ -659,7 +707,7 @@ class TestOneHorizonTable:
         ],
     )
     def test_table_count(self, capsys, monkeypatch, argv, longest):
-        real_table, real_policy = lrac.cli._horizon_table, lrac.cli._horizon_policy
+        real_table, real_policy = lrac.cli._horizon_table, lrac.dp._horizon_policy
         tables, policies = [], []
 
         def table(graph, T):
@@ -671,11 +719,11 @@ class TestOneHorizonTable:
             return real_policy(graph, S)
 
         monkeypatch.setattr(lrac.cli, "_horizon_table", table)
-        monkeypatch.setattr(lrac.cli, "_horizon_policy", policy)
+        monkeypatch.setattr(lrac.dp, "_horizon_policy", policy)
         code, _ = _run(capsys, argv.split())
         assert code == 0
         assert tables == [longest]
-        assert policies == ([longest] if "sweep" in argv else [])
+        assert policies == []
 
 
 _LARGE = [
@@ -776,8 +824,7 @@ class TestProjectionSweeps:
         basis = chebyshev_basis(graph)
         for row in rows:
             if sweep == "T":
-                _, policy = value_iteration_avg(graph, int(row[0]), want_policy=True)
-                m = occupational_measure(lrac.cli._horizon_trajectory(graph, 40, policy))
+                m = occupational_measure(policy_trajectory(graph, 40, int(row[0])))
             else:
                 m = lrac.cli._discounted_measure(graph, 40, float(row[0]))[1]
             assert abs(float(row[3]) - box_distance(m, basis)) <= 1e-9
@@ -890,3 +937,23 @@ class TestBasisOnlyWhenProjecting:
             "0.000705738705739",
             "7.05738705739e-05",
         ]
+
+
+
+def _readme_commands():
+    """The `lrac ...` lines of README's CLI code block."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("lrac ")]
+
+
+class TestReadmeExamples:
+    """Every command of README's CLI block runs, in-process, and exits 0."""
+
+    def test_block_has_every_example(self):
+        assert len(_readme_commands()) == 5
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_runs(self, capsys, argv):
+        code = main(argv)
+        assert code == 0, capsys.readouterr().err

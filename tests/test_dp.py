@@ -23,7 +23,7 @@ from lrac import (
     value_iteration_discounted,
 )
 
-from conftest import horizon_value_brute
+from conftest import horizon_value_brute, policy_trajectory, tied_graphs
 
 
 class TestHorizonValues:
@@ -145,6 +145,38 @@ class TestHorizonTable:
         assert policy.shape == (1000, toy_graph.n_states)
         block = lrac.dp._POLICY_BLOCK
         assert block < 1000 and max(rows) == block and sum(rows) == 1000
+
+
+class TestHorizonWalk:
+    """_horizon_walk reads the optimal path of every horizon off one table;
+    it must take exactly the pairs of value_iteration_avg's policy table."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 16, 257])
+    def test_matches_policy_table(self, toy_graph, threestate_graph, T):
+        # a table of exactly T steps, as _min_mean_cycle walks, and a
+        # taller one, as the T sweep walks for its shorter horizons
+        random80 = build_graph(random_problem(80, 3, 0))
+        for graph in [toy_graph, threestate_graph, *tied_graphs(), random80]:
+            exact, tall = lrac.dp._horizon_table(graph, T), lrac.dp._horizon_table(graph, 300)
+            for y0 in range(graph.n_states):
+                want = policy_trajectory(graph, y0, T).pairs.tolist()
+                assert lrac.dp._horizon_walk(graph, exact, y0, T) == want
+                assert lrac.dp._horizon_walk(graph, tall, y0, T) == want
+
+    def test_unattained_value_raises(self, threestate_graph):
+        # state 0's 4-step value nudged off: state 1's pair (1, a) attains
+        # the nudged value, but the walk reads only state 0's pairs
+        S = lrac.dp._horizon_table(threestate_graph, 4).copy()
+        S[4, 0] = 1.0 + S[3, 0]
+        assert all(
+            threestate_graph.pair_cost[g] + S[3, threestate_graph.pair_succ[g]] != S[4, 0]
+            for g in threestate_graph.pairs_of_state(0)
+        )
+        with pytest.raises(RuntimeError, match="no pair of state 0"):
+            lrac.dp._horizon_walk(threestate_graph, S, 0, 4)
+        S[4, 0] = np.nan
+        with pytest.raises(RuntimeError):
+            lrac.dp._horizon_walk(threestate_graph, S, 0, 4)
 
 
 class TestDiscountedValues:

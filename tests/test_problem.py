@@ -44,6 +44,16 @@ class TestControlProblem:
                 cost=np.zeros((2, 1)),
             )
 
+    def test_states_need_a_coordinate(self):
+        with pytest.raises(ProblemFormatError, match="at least one coordinate"):
+            ControlProblem(
+                name="bad",
+                states=np.zeros((2, 0)),
+                actions=("a",),
+                successor=np.zeros((2, 1), dtype=int),
+                cost=np.zeros((2, 1)),
+            )
+
     def test_states_must_be_2d(self):
         with pytest.raises(ProblemFormatError):
             ControlProblem(
@@ -266,6 +276,19 @@ class TestJsonSchema:
     def test_missing_key(self):
         with pytest.raises(ProblemFormatError, match="missing required key"):
             problem_from_dict({"name": "x", "states": [[0.0]], "actions": ["a"]})
+
+    def test_states_need_a_coordinate(self):
+        doc = {
+            "name": "flat",
+            "states": [[], []],
+            "actions": ["a"],
+            "transitions": [
+                {"state": 0, "action": 0, "next": 1, "cost": 0.0},
+                {"state": 1, "action": 0, "next": 0, "cost": 1.0},
+            ],
+        }
+        with pytest.raises(ProblemFormatError, match="each state needs at least one coordinate"):
+            problem_from_dict(doc)
 
     def test_document_must_be_object(self):
         with pytest.raises(ProblemFormatError):

@@ -39,9 +39,14 @@ from lrac import (
     value_iteration_discounted,
 )
 from lrac import simplex
-from lrac.cli import _discounted_measure, _horizon_trajectory
+from lrac.cli import _discounted_measure
 
-from conftest import CHAIN_HORIZONS, box_distance, min_mean_cycle_brute
+from conftest import (
+    CHAIN_HORIZONS,
+    box_distance,
+    min_mean_cycle_brute,
+    policy_trajectory,
+)
 
 
 def _single_action(succ, cost, name="loop"):
@@ -531,6 +536,26 @@ class TestCycleWalk:
             assert res.cert.to_dict() == want.cert.to_dict()
 
 
+class TestCycleTableNaN:
+    """A NaN anywhere in the cycle recursion's rows over the given states
+    must raise, whether or not the witness walk reads it."""
+
+    def test_nan_table_raises(self, threestate_graph, monkeypatch):
+        reach = reachable_states(threestate_graph, 0)[0]
+        real = lrac.programs._horizon_table
+        for k in range(reach.size + 1):
+            for v in reach:
+
+                def poisoned(graph, T, k=k, v=v):
+                    S = real(graph, T).copy()
+                    S[k, v] = np.nan
+                    return S
+
+                monkeypatch.setattr(lrac.programs, "_horizon_table", poisoned)
+                with pytest.raises(RuntimeError):
+                    lrac.programs._min_mean_cycle(threestate_graph, reach)
+
+
 class TestReachability:
     def test_threestate(self, threestate_graph):
         reach, dist, pred = reachable_states(threestate_graph, 2)
@@ -669,8 +694,7 @@ def _sweep_measures(graph, y0):
     vf = value_iteration_discounted(graph, 0.9)
     traj = rollout(graph, y0, greedy_policy(graph, vf), 3 * graph.n_states + 8)
     yield discounted_occupational_measure(traj, 0.9)
-    _, policy = value_iteration_avg(graph, 16, want_policy=True)
-    yield occupational_measure(_horizon_trajectory(graph, y0, policy))
+    yield occupational_measure(policy_trajectory(graph, y0, 16))
 
 
 class TestProjection:
@@ -782,8 +806,7 @@ class TestProjection:
         # to Bland's
         graph = build_graph(random_problem(n, 3, seed))
         if alpha is None:
-            _, policy = value_iteration_avg(graph, T, want_policy=True)
-            m = occupational_measure(_horizon_trajectory(graph, y0, policy))
+            m = occupational_measure(policy_trajectory(graph, y0, T))
         else:
             m = _discounted_measure(graph, y0, alpha)[1]
         assert not membership_W(m)

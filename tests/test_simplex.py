@@ -21,11 +21,12 @@ from lrac import (
     solve,
     solve_primal,
     toy_problem,
-    value_iteration_avg,
     value_iteration_discounted,
 )
 from lrac import simplex
-from lrac.cli import _horizon_trajectory, main
+from lrac.cli import main
+
+from conftest import policy_trajectory
 
 
 def _assert_kkt(lp, sol, tol=1e-8):
@@ -332,8 +333,7 @@ class TestLexicographic:
         graph = build_graph(random_problem(10, 3, 0))
         basis = chebyshev_basis(graph, J=16)
         for y0 in range(4):
-            _, policy = value_iteration_avg(graph, 16, want_policy=True)
-            measure = occupational_measure(_horizon_trajectory(graph, y0, policy))
+            measure = occupational_measure(policy_trajectory(graph, y0, 16))
             lp = _projection_lp(graph, measure.weights, basis)
             assert solve(lp, lexicographic=True).status == "optimal"
         assert len(seen) >= 200 and max(seen) >= 5, (len(seen), max(seen))
@@ -369,8 +369,7 @@ class TestGapRowCrash:
     def test_projection_takes_fewer_pivots(self):
         # the projection of toy's T = 16 measure from y0 = 0
         graph = build_graph(toy_problem())
-        _, policy = value_iteration_avg(graph, 16, want_policy=True)
-        measure = occupational_measure(_horizon_trajectory(graph, 0, policy))
+        measure = occupational_measure(policy_trajectory(graph, 0, 16))
         res = project_to_W(measure, chebyshev_basis(graph))
         assert 0 < res.iterations < 188, res.iterations
 

@@ -20,8 +20,10 @@ Every k*(theta), theta = 0 included (upper links, solve's --theta,
 sweep's d* and its theta rows), is k_star_theta's minimum mean cycle,
 which builds no program; solve and verify run the breadth-first search
 from y0 once, in v_per, for all of them.  Only verify solves the
-theta = 0 measure program, once, as its independent cross-check; a
-sweep's only LPs are its projections onto W.
+theta = 0 measure program, once, over the states that search reached,
+as its independent cross-check; a sweep's only LPs are its projections
+onto W.  Every command's first use of y0 is that search, which rejects
+a y0 outside [0, n).
 Every V_T a command prints is read off one dp._horizon_table, run up to
 its largest horizon: solve's chain, verify's horizon row and the rows of
 sweep --sweep T, which also reads each horizon's optimal trajectory off
@@ -89,6 +91,7 @@ from .problem import (
 )
 from .programs import (
     _k_star_reached,
+    _solve_primal_reached,
     k_membership,
     k_star_theta,
     pair_from_process,
@@ -97,7 +100,6 @@ from .programs import (
     # Not called here; perfbench/selftest.py checks that the tracer
     # rebinds this module's reference to it.
     solve_dual,  # noqa: F401
-    solve_primal,
     v_per,
 )
 from .simplex import InaccurateSolution
@@ -116,13 +118,6 @@ def _resolve_problem(args: argparse.Namespace) -> ControlProblem:
             seed=args.seed,
         )
     return load_problem(args.problem)
-
-
-def _start_state(args: argparse.Namespace, problem: ControlProblem) -> int:
-    """args.y0, checked to be a state index of problem."""
-    if not 0 <= args.y0 < problem.n_states:
-        raise ValueError(f"y0 must be a state index in [0, {problem.n_states})")
-    return args.y0
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -216,7 +211,7 @@ def _optimality_residuals(graph, y0: int, cycle) -> tuple[float, dict[str, float
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
     graph = build_graph(problem)
-    y0 = _start_state(args, problem)
+    y0 = args.y0
     T_list = _parse_ints(args.T)
     alpha_list = _parse_floats(args.alpha)
     theta_list = _parse_floats(args.theta)
@@ -277,7 +272,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
     graph = build_graph(problem)
-    y0 = _start_state(args, problem)
+    y0 = args.y0
     d_star = k_star_theta(graph, y0, 0.0).value
     # The test-function basis is built the first time a row's measure is
     # off W, and only then: theta rows are cycle measures, and many alpha
@@ -331,13 +326,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results.append(("viability", False, f"ViabilityViolation: {exc}"))
         _emit(_verify_table(results), args.out)
         return 1
-    y0 = _start_state(args, problem)
+    y0 = args.y0
     scale = 1.0 + graph.cost_bound
 
-    primal = solve_primal(graph, y0)
+    cycle = v_per(graph, y0)
+    primal = _solve_primal_reached(graph, y0, cycle.reach, 0.0)
     cert = primal.cert
     q = primal.as_q_form()
-    cycle = v_per(graph, y0)
     spread = max(
         abs(primal.value - cert.mu),
         abs(cycle.cert.mu - cert.mu),

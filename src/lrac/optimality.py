@@ -37,7 +37,7 @@ import numpy as np
 
 from .dp import PeriodicProcess, Trajectory, _segment_argmin_pair, _segment_min
 from .problem import Graph, _per_state
-from .programs import DualCertificate
+from .programs import DualCertificate, certificate_residuals
 
 __all__ = [
     "InfeasibleCertificate",
@@ -52,35 +52,6 @@ __all__ = [
 
 class InfeasibleCertificate(ValueError):
     """The supplied (mu, psi, eta) violates the lower-bound constraints."""
-
-
-def certificate_residuals(
-    graph: Graph, y0: int, cert: DualCertificate, theta: float = 0.0
-) -> dict[str, float]:
-    """Worst constraint violations of a certificate, as nonnegative reals.
-
-    pair_slack: how far k + psi(y0) - psi(y) + eta(f) - eta(y) - mu dips
-    below zero anywhere on the graph.  monotone_slack: how far
-    psi(f) - psi(y) dips below -theta.  A mu that is not finite raises
-    ValueError, as no slack can be read against it.
-    """
-    if not np.isfinite(cert.mu):
-        raise ValueError("mu must be finite")
-    psi = _per_state(graph, cert.psi, "psi")
-    eta = _per_state(graph, cert.eta, "eta")
-    slack = (
-        graph.pair_cost
-        + psi[y0]
-        - psi[graph.pair_state]
-        + eta[graph.pair_succ]
-        - eta[graph.pair_state]
-        - cert.mu
-    )
-    mono = psi[graph.pair_succ] - psi[graph.pair_state] + theta
-    return {
-        "pair_slack": float(max(0.0, -np.min(slack))),
-        "monotone_slack": float(max(0.0, -np.min(mono))),
-    }
 
 
 def _condition_residuals(

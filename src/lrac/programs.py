@@ -19,17 +19,24 @@ potential corrections, psi nondecreasing along the dynamics up to theta:
                psi(f(y,u)) - psi(y) >= -theta.
 
 It is the LP dual of the measure program, so one simplex solve of the
-measure program yields both sides.  solve_primal builds exactly the
-program above: 2n + 1 rows (the mass row, stationarity for z = 0..n-1,
-transfer for z = 0..n-1) over the 2P columns (gamma, xi), unbounded in
-xi but with objective at least min k.  With y the row duals (b'y equal
-to the objective), the optimal certificate is
+measure program yields both sides.  Only states reachable from y0 can
+carry gamma or xi: the transfer rows put gamma's mass only where the
+unit leaving y0 arrives, and the reachable set R is closed under the
+dynamics.  So solve_primal builds the program above over R alone, with
+the same optimum: 2m + 1 rows (the mass row, stationarity for each of
+the m states of R, transfer for each) over the 2Q columns (gamma, xi)
+of the Q pairs of states in R, unbounded in xi but with objective at
+least min k.  With y the row duals (b'y equal to the objective), the
+optimal certificate on R is
 
-    mu = y[0],   eta = -y[1 : n+1],   psi = -y[n+1 :];
+    mu = y[0],   eta = -y[1 : m+1],   psi = -y[m+1 :];
 
-the optimum is degenerate, so another pivot path may return another,
-equally valid one.  Only solve_primal builds a tableau; solve_dual and
-solve_q_form are views of its result.
+gamma and xi are 0 off R, and off R the certificate is lifted to the
+whole graph with eta = 0 and psi a constant low enough to satisfy every
+pair there (see _lift_certificate).  The optimum is degenerate, so
+another pivot path may return another, equally valid certificate.  Only
+solve_primal builds a tableau; solve_dual and solve_q_form are views of
+its result.
 
 On a finite graph both optimal values agree with the minimum mean cost
 over cycles reachable from y0, which v_per reads off dp's recursion.
@@ -137,7 +144,9 @@ class PrimalPair:
 @dataclass(frozen=True)
 class PrimalResult:
     """Both sides of one measure-program solve from y0: the optimal
-    (gamma, xi) and the certificate read off the row duals."""
+    (gamma, xi) and the certificate read off the row duals, both over the
+    whole graph.  residuals are the KKT residuals of the program actually
+    solved, over the states reachable from y0, in units of the cost bound."""
 
     value: float
     pair: PrimalPair
@@ -233,13 +242,16 @@ def _check_theta(theta: float) -> None:
         raise ValueError("theta must be nonnegative")
 
 
-def _incidence(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal and inflow indicator matrices, each (n_states, n_pairs)."""
-    n, P = graph.n_states, graph.n_pairs
-    marg = np.zeros((n, P))
-    inflow = np.zeros((n, P))
-    marg[graph.pair_state, np.arange(P)] = 1.0
-    inflow[graph.pair_succ, np.arange(P)] = 1.0
+def _incidence(graph: Graph, pairs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal and inflow indicator matrices of the given pairs (default
+    every pair), each (n_states, len(pairs)), one column per pair in order."""
+    if pairs is None:
+        pairs = np.arange(graph.n_pairs)
+    cols = np.arange(pairs.size)
+    marg = np.zeros((graph.n_states, pairs.size))
+    inflow = np.zeros((graph.n_states, pairs.size))
+    marg[graph.pair_state[pairs], cols] = 1.0
+    inflow[graph.pair_succ[pairs], cols] = 1.0
     return marg, inflow
 
 
@@ -247,53 +259,103 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
     """Minimum expected cost over stationary measures reachable from y0,
     the transfer flow priced at theta per unit.
 
-    The program is the module docstring's, row for row, and the result
-    also carries the optimal certificate read off its row duals.  A gamma
-    or xi that misses its sign or mass constraint by more than roundoff
-    raises simplex.InaccurateSolution.  k_star_theta gives the same value at
-    every theta, and v_per both optima at theta = 0, without a program, so
-    the commands run this one only as verify's independent cross-check.
+    The program is the module docstring's, over the states reachable from
+    y0 (see _solve_primal_reached), and the result also carries the
+    optimal certificate read off its row duals, lifted to the whole graph.
+    k_star_theta gives the same value at every theta, and v_per both
+    optima at theta = 0, without a program, so the commands run this one
+    only as verify's independent cross-check.
+    """
+    reach, _, _ = reachable_states(graph, y0)
+    return _solve_primal_reached(graph, y0, reach, theta)
+
+
+def _solve_primal_reached(
+    graph: Graph, y0: int, reach: np.ndarray, theta: float
+) -> PrimalResult:
+    """solve_primal from y0 over the states reach, as reachable_states(graph,
+    y0) returns them, so that verify's one breadth-first search serves it.
+
+    The program over a set of states has the full program's optimum when
+    the set holds y0 and is closed under the dynamics (see the module
+    docstring); a reach that is not raises ValueError.  gamma and xi are
+    padded with zeros and validated as measures on the whole graph; one
+    that misses its sign or mass constraint by more than roundoff raises
+    simplex.InaccurateSolution.  So does an optimum whose dual or gap KKT
+    residual, or whose lifted certificate's pair or monotone slack on the
+    whole graph, exceeds 1e-9 (1 + M), naming the worst miss.
 
     The simplex prices c / M, M = graph.cost_bound (1 when every cost is 0),
     so its tolerances do not depend on the unit of cost; the value and the
     row duals are multiplied back by M, and residuals are relative to M.
     """
     _check_theta(theta)
-    n, P = graph.n_states, graph.n_pairs
+    n = graph.n_states
+    reached = np.zeros(n, dtype=bool)
+    reached[reach] = True
+    states = np.flatnonzero(reached)
+    pairs = np.flatnonzero(reached[graph.pair_state])
+    if not (np.any(states == y0) and reached[graph.pair_succ[pairs]].all()):
+        raise ValueError(
+            f"the states given for y0={y0} must hold y0 and be closed under the dynamics"
+        )
+    m, Q = states.size, pairs.size
     M = graph.cost_bound or 1.0
-    marg, inflow = _incidence(graph)
-    A = np.zeros((2 * n + 1, 2 * P))  # columns gamma, xi
-    b = np.zeros(2 * n + 1)
-    c = np.zeros(2 * P)
-    c[:P] = graph.pair_cost / M
-    c[P:] = theta / M
-    A[0, :P] = 1.0
+    marg, inflow = _incidence(graph, pairs)
+    marg, inflow = marg[states], inflow[states]
+    A = np.zeros((2 * m + 1, 2 * Q))  # columns gamma, xi
+    b = np.zeros(2 * m + 1)
+    c = np.zeros(2 * Q)
+    c[:Q] = graph.pair_cost[pairs] / M
+    c[Q:] = theta / M
+    A[0, :Q] = 1.0
     b[0] = 1.0
-    A[1 : n + 1, :P] = inflow - marg
-    A[n + 1 :, :P] = -marg
-    A[n + 1 + y0, :P] += 1.0  # [z = y0] enters through the total mass of gamma
-    A[n + 1 :, P:] = inflow - marg
+    A[1 : m + 1, :Q] = inflow - marg
+    A[m + 1 :, :Q] = -marg
+    # [z = y0] enters through the total mass of gamma
+    A[m + 1 + np.searchsorted(states, y0), :Q] += 1.0
+    A[m + 1 :, Q:] = inflow - marg
     lp = simplex.LinearProgram(c=c, A=A, b=b)
     sol = simplex.solve(lp)
     if sol.status != "optimal":
         raise PrimalInfeasible(
             f"measure program for y0={y0}, theta={theta} returned {sol.status}"
         )
+    gamma_w = np.zeros(graph.n_pairs)
+    xi_w = np.zeros(graph.n_pairs)
+    gamma_w[pairs] = sol.x[:Q]
+    xi_w[pairs] = sol.x[Q:]
     try:
-        gamma = OccupationalMeasure(graph=graph, weights=sol.x[:P])
-        xi = FlowMeasure(graph=graph, weights=sol.x[P:])
+        gamma = OccupationalMeasure(graph=graph, weights=gamma_w)
+        xi = FlowMeasure(graph=graph, weights=xi_w)
     except ValueError as exc:
-        worst = max(-float(sol.x.min()), abs(float(sol.x[:P].sum()) - 1.0))
+        worst = max(-float(sol.x.min()), abs(float(sol.x[:Q].sum()) - 1.0))
         raise simplex.InaccurateSolution(
             f"measure program's (gamma, xi) misses its constraints by {worst:.3g} ({exc})"
         ) from None
     y = sol.y * M
-    cert = DualCertificate(mu=float(y[0]), psi=-y[n + 1 :], eta=-y[1 : n + 1])
+    psi = np.zeros(n)
+    eta = np.zeros(n)
+    psi[states] = -y[m + 1 :]
+    eta[states] = -y[1 : m + 1]
+    cert = _lift_certificate(graph, y0, float(y[0]), psi, eta, reached, theta)
+    residuals = simplex.kkt_residuals(lp, sol)
+    misses = {
+        "dual": residuals["dual"] * M,
+        "gap": residuals["gap"] * M,
+        **certificate_residuals(graph, y0, cert, theta),
+    }
+    worst = max(misses, key=misses.get)
+    tol = 1e-9 * (1.0 + graph.cost_bound)
+    if not misses[worst] <= tol:
+        raise simplex.InaccurateSolution(
+            f"measure program's optimum exceeds {tol:.3g} in {worst} {misses[worst]:.3g}"
+        )
     return PrimalResult(
         value=float(sol.objective) * M,
         pair=PrimalPair(gamma=gamma, xi=xi),
         iterations=sol.iterations,
-        residuals=simplex.kkt_residuals(lp, sol),
+        residuals=residuals,
         cert=cert,
         y0=int(y0),
     )
@@ -370,9 +432,12 @@ def reachable_states(graph: Graph, y0: int) -> tuple[np.ndarray, np.ndarray, np.
     Returns (sorted reachable state indices, hop distance per state with -1
     for unreachable, discovering pair per state with -1 at y0 and
     unreachable states).  Neighbors are scanned in canonical pair order, so
-    the discovery tree is deterministic.
+    the discovery tree is deterministic.  Every per-start entry point
+    searches first, so a y0 outside [0, n) raises ValueError here.
     """
     n = graph.n_states
+    if not 0 <= y0 < n:
+        raise ValueError(f"y0 must be a state index in [0, {n})")
     dist = np.full(n, -1, dtype=int)
     pred_pair = np.full(n, -1, dtype=int)
     dist[y0] = 0
@@ -474,14 +539,14 @@ def v_per(graph: Graph, y0: int) -> VPerResult:
     return VPerResult(
         value=mu,
         process=process,
-        cert=_cycle_certificate(graph, S, mu, dist >= 0),
+        cert=_cycle_certificate(graph, y0, S, mu, dist >= 0),
         reach=reach,
         dist=dist,
     )
 
 
 def _cycle_certificate(
-    graph: Graph, S: np.ndarray, mu: float, reached: np.ndarray
+    graph: Graph, y0: int, S: np.ndarray, mu: float, reached: np.ndarray
 ) -> DualCertificate:
     """A feasible certificate at level mu, the minimum mean cycle over the
     reached states, read off _min_mean_cycle's table S of N + 1 rows, N
@@ -492,15 +557,37 @@ def _cycle_certificate(
     steps from y repeats a state, and cutting out its cycles, each of mean
     at least mu, leaves a walk of j <= N steps with S_{N+1}(y) - (N+1) mu
     >= S_j(y) - j mu, which covers k = N.  So k + eta(f) - eta(y) >= mu.
-    psi is 0 on the reached states and -L elsewhere, with L one more than
-    the worst pair-slack deficit on pairs that leave an unreached state:
-    psi(y0) - psi(y) = L lifts those pairs, and since no reached state
-    leads out of the reached set, psi never falls along the dynamics.
+    psi is 0 on the reached states and -L elsewhere (_lift_certificate at
+    theta = 0), which lifts the pairs that leave an unreached state.
     """
     eta = np.min(S - mu * np.arange(S.shape[0])[:, None], axis=0)
-    slack = graph.pair_cost + eta[graph.pair_succ] - eta[graph.pair_state] - mu
-    L = 1.0 - float(np.min(slack, where=~reached[graph.pair_state], initial=0.0))
-    return DualCertificate(mu=mu, psi=np.where(reached, 0.0, -L), eta=eta)
+    return _lift_certificate(graph, y0, mu, np.zeros(graph.n_states), eta, reached, 0.0)
+
+
+def _lift_certificate(
+    graph: Graph,
+    y0: int,
+    mu: float,
+    psi: np.ndarray,
+    eta: np.ndarray,
+    reached: np.ndarray,
+    theta: float,
+) -> DualCertificate:
+    """A certificate feasible at theta on every pair from one feasible on
+    the pairs of the reached states, a set closed under the dynamics that
+    holds y0: psi, 0 off that set, becomes -L there.
+
+    L is one more than the worst deficit, on pairs that leave an unreached
+    state, of the pair constraint k + psi(y0) - psi(y) + eta(f) - eta(y)
+    >= mu and of the monotone constraint psi(f) - psi(y) >= -theta, both
+    read at psi(y) = 0.  Lowering psi(y) to -L lifts both by L, and since
+    no reached state leads out of the set, no other constraint changes.
+    """
+    off = ~reached[graph.pair_state]
+    slack = graph.pair_cost + psi[y0] + eta[graph.pair_succ] - eta[graph.pair_state] - mu
+    mono = psi[graph.pair_succ] + theta
+    worst = min(np.min(slack, where=off, initial=0.0), np.min(mono, where=off, initial=0.0))
+    return DualCertificate(mu=mu, psi=np.where(reached, psi, -(1.0 - float(worst))), eta=eta)
 
 
 def pair_from_process(process: PeriodicProcess) -> PrimalPair:
@@ -537,6 +624,35 @@ def pair_residuals(pair: PrimalPair, y0: int) -> dict[str, float]:
     return {
         "stationarity": stationarity_residual(pair.gamma),
         "transfer_balance": float(np.max(np.abs(balance))),
+    }
+
+
+def certificate_residuals(
+    graph: Graph, y0: int, cert: DualCertificate, theta: float = 0.0
+) -> dict[str, float]:
+    """Worst constraint violations of a certificate, as nonnegative reals.
+
+    pair_slack: how far k + psi(y0) - psi(y) + eta(f) - eta(y) - mu dips
+    below zero anywhere on the graph.  monotone_slack: how far
+    psi(f) - psi(y) dips below -theta.  A mu that is not finite raises
+    ValueError, as no slack can be read against it.
+    """
+    if not np.isfinite(cert.mu):
+        raise ValueError("mu must be finite")
+    psi = _per_state(graph, cert.psi, "psi")
+    eta = _per_state(graph, cert.eta, "eta")
+    slack = (
+        graph.pair_cost
+        + psi[y0]
+        - psi[graph.pair_state]
+        + eta[graph.pair_succ]
+        - eta[graph.pair_state]
+        - cert.mu
+    )
+    mono = psi[graph.pair_succ] - psi[graph.pair_state] + theta
+    return {
+        "pair_slack": float(max(0.0, -np.min(slack))),
+        "monotone_slack": float(max(0.0, -np.min(mono))),
     }
 
 

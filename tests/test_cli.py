@@ -496,11 +496,29 @@ class TestExitCodes:
         err = _rejected(capsys, ["solve", "--problem", "toy", "--y0", "0", "--out", out])
         assert err.startswith("output rejected: "), err
 
+    def test_measure_program_gate_exits_three(self, capsys, monkeypatch):
+        # duals that miss their constraints fail solve_primal's optimality gate
+        real = lrac.simplex.solve
+
+        def perturbed(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            sol.y[0] += 1e-6
+            return sol
+
+        monkeypatch.setattr(lrac.simplex, "solve", perturbed)
+        assert main(["verify", "--problem", "threestate", "--y0", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith(
+            "solver failed: InaccurateSolution: measure program's optimum exceeds"
+        ), captured.err
+
     def test_solver_failure_exits_three(self, capsys, monkeypatch):
-        def give_up(graph, y0, theta=0.0):
+        def give_up(graph, y0, reach, theta):
             raise IterationLimit("simplex exceeded 10 pivots on a 3x4 tableau")
 
-        monkeypatch.setattr(lrac.cli, "solve_primal", give_up)
+        monkeypatch.setattr(lrac.cli, "_solve_primal_reached", give_up)
         assert main(["verify", "--problem", "toy", "--y0", "15"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -631,6 +649,40 @@ class TestSimplexCalls:
         code, _ = _run(capsys, argv)
         assert code == 0
         assert len(seen) == calls, seen
+
+
+class TestReducedTableau:
+    """verify's measure program has one stationarity and one transfer row
+    per state reachable from y0, and a (gamma, xi) column pair per pair of
+    those states, so a start that reaches few states solves a small
+    tableau however large the graph."""
+
+    def _shapes(self, capsys, monkeypatch, argv):
+        real = lrac.simplex.solve
+        seen = []
+
+        def recording(lp, *args, **kwargs):
+            seen.append(lp.A.shape)
+            return real(lp, *args, **kwargs)
+
+        monkeypatch.setattr(lrac.simplex, "solve", recording)
+        code, out = _run(capsys, argv)
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == 7 and all(r.startswith("PASS") for r in rows), out
+        return seen
+
+    def test_random_320_reaches_one_cycle(self, capsys, monkeypatch):
+        # the full program was 641 x 1498 here
+        argv = ["verify", "--problem", "random", "--states", "320", "--seed", "1", "--y0", "160"]
+        assert self._shapes(capsys, monkeypatch, argv) == [(3, 2)]
+
+    def test_toy_starts(self, capsys, monkeypatch):
+        # the full program is 43 x 84; 2 of 21 toy states are reachable from any start
+        for y0 in range(toy_problem().n_states):
+            argv = ["verify", "--problem", "toy", "--y0", str(y0)]
+            [(rows, cols)] = self._shapes(capsys, monkeypatch, argv)
+            assert rows <= 5 and cols <= 8, (y0, rows, cols)
 
 
 _CROSS_PANEL = [
@@ -951,7 +1003,7 @@ class TestReadmeExamples:
     """Every command of README's CLI block runs, in-process, and exits 0."""
 
     def test_block_has_every_example(self):
-        assert len(_readme_commands()) == 5
+        assert len(_readme_commands()) == 6
 
     @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
     def test_command_runs(self, capsys, argv):

@@ -111,6 +111,18 @@ class TestPrimal:
         with pytest.raises(InaccurateSolution, match="1e-09"):
             solve_primal(threestate_graph, 0)
 
+    def test_perturbed_duals_are_a_solver_failure(self, threestate_graph, monkeypatch):
+        real = simplex.solve
+
+        def perturbed(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            sol.y[0] += 1e-6  # mu, in units of M = 5
+            return sol
+
+        monkeypatch.setattr(simplex, "solve", perturbed)
+        with pytest.raises(InaccurateSolution, match=r"optimum exceeds 6e-09 in \w+ 5e-06"):
+            solve_primal(threestate_graph, 0)
+
 
 class TestDual:
     def test_toy_value(self, toy_graph):
@@ -283,6 +295,67 @@ class TestCostScale:
                 assert abs(res.value - (row["d"] + c)) <= 1e-9 * (1.0 + M_c)
                 feas = certificate_residuals(shifted, y0, res.cert)
                 assert max(feas.values()) <= 1e-9 * (1.0 + M_c)
+
+
+def _full_measure_value(graph, y0, theta):
+    """The measure program's value with one stationarity and one transfer
+    row per state of the whole graph, as the module docstring states it,
+    solved by lrac.simplex: the reference the program over the reachable
+    states must match."""
+    n, P = graph.n_states, graph.n_pairs
+    M = graph.cost_bound or 1.0
+    marg = np.zeros((n, P))
+    inflow = np.zeros((n, P))
+    marg[graph.pair_state, np.arange(P)] = 1.0
+    inflow[graph.pair_succ, np.arange(P)] = 1.0
+    A = np.zeros((2 * n + 1, 2 * P))
+    b = np.zeros(2 * n + 1)
+    c = np.concatenate([graph.pair_cost / M, np.full(P, theta / M)])
+    A[0, :P] = 1.0
+    b[0] = 1.0
+    A[1 : n + 1, :P] = inflow - marg
+    A[n + 1 :, :P] = -marg
+    A[n + 1 + y0, :P] += 1.0
+    A[n + 1 :, P:] = inflow - marg
+    sol = simplex.solve(simplex.LinearProgram(c=c, A=A, b=b))
+    assert sol.status == "optimal"
+    return sol.objective * M
+
+
+class TestReducedProgram:
+    """solve_primal builds the measure program over the states reachable
+    from y0 only.  Its value is the full program's, its measures vanish off
+    the reachable states, and its certificate, lifted to the whole graph,
+    is feasible there."""
+
+    def test_matches_full_program(self, toy_graph, threestate_graph, random_graphs):
+        for graph in (toy_graph, threestate_graph, *random_graphs):
+            M = graph.cost_bound
+            tol = 1e-9 * (1.0 + M)
+            for y0 in range(graph.n_states):
+                reached = np.zeros(graph.n_states, dtype=bool)
+                reached[reachable_states(graph, y0)[0]] = True
+                off = ~reached[graph.pair_state]
+                for theta in (0.0, 0.1, M / 5.0):
+                    res = solve_primal(graph, y0, theta)
+                    assert abs(res.value - _full_measure_value(graph, y0, theta)) <= tol
+                    assert not res.pair.gamma.weights[off].any()
+                    assert not res.pair.xi.weights[off].any()
+                    feas = certificate_residuals(graph, y0, res.cert, theta)
+                    assert max(feas.values()) <= tol, (y0, theta, feas)
+                    if theta == 0.0:
+                        assert k_membership(graph, res.as_q_form().psi)
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            [1, 2],  # misses y0 = 0
+            [0, 1],  # the pairs of state 0 also lead to 2
+        ],
+    )
+    def test_set_must_hold_y0_and_be_closed(self, threestate_graph, states):
+        with pytest.raises(ValueError, match="closed under the dynamics"):
+            lrac.programs._solve_primal_reached(threestate_graph, 0, np.array(states), 0.0)
 
 
 class TestThetaFamily:
@@ -557,6 +630,21 @@ class TestCycleTableNaN:
 
 
 class TestReachability:
+    @pytest.mark.parametrize("y0", (-1, 21))
+    @pytest.mark.parametrize(
+        "entry",
+        (
+            reachable_states,
+            solve_primal,
+            v_per,
+            lambda graph, y0: k_star_theta(graph, y0, 0.0),
+        ),
+        ids=("reachable_states", "solve_primal", "v_per", "k_star_theta"),
+    )
+    def test_start_outside_states_is_rejected(self, toy_graph, entry, y0):
+        with pytest.raises(ValueError, match=r"y0 must be a state index in \[0, 21\)"):
+            entry(toy_graph, y0)
+
     def test_threestate(self, threestate_graph):
         reach, dist, pred = reachable_states(threestate_graph, 2)
         assert reach.tolist() == [2]

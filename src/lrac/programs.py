@@ -670,10 +670,10 @@ def project_to_W(measure: OccupationalMeasure, basis: MetricBasis) -> Projection
 
     at cost sum_j w_j (d+_j + d-_j); since every w_j > 0 an optimum never
     holds both parts of one gap, so it is the weighted sum of |gaps|.  The
-    program is highly degenerate and is solved with the lexicographic
-    ratio test, under which the simplex cannot cycle.  Gap row j holds
-    -e_j and +e_j (the columns of d+_j and d-_j), so the simplex starts it
-    on a gap column rather than an artificial, and phase 1 carries
+    program is highly degenerate; the simplex's one pivot rule, with its
+    lexicographic ratio test, cannot cycle on it.  Gap row j holds -e_j
+    and +e_j (the columns of d+_j and d-_j), so the simplex starts it on
+    a gap column rather than an artificial, and phase 1 carries
     artificials only for the mass and stationarity rows.  An optimal x
     that misses the probability simplex by more than roundoff raises
     InaccurateSolution.
@@ -692,7 +692,7 @@ def project_to_W(measure: OccupationalMeasure, basis: MetricBasis) -> Projection
     A[n + 1 :, P + J :] = np.eye(J)
     b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ measure.weights])
     c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
-    sol = simplex.solve(simplex.LinearProgram(c=c, A=A, b=b), lexicographic=True)
+    sol = simplex.solve(simplex.LinearProgram(c=c, A=A, b=b))
     if sol.status != "optimal":
         raise PrimalInfeasible(f"projection program returned {sol.status}")
     gamma = sol.x[:P]

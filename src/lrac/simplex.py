@@ -5,13 +5,24 @@ nonnegative unless flagged free; free variables are split into positive and
 negative parts internally.  Inequalities must be brought to this form by
 the caller with explicit slack variables.
 
-Pivoting uses Dantzig's rule (most negative reduced cost, lowest index on
-ties).  Under the default ratio test it switches permanently to Bland's
-rule once the objective has stalled for 2 * rows consecutive iterations,
-which rules out cycling on the degenerate, highly redundant systems built
-elsewhere in this package.  Artificial columns stay in the tableau through
-phase two, blocked from entering; their reduced costs there are the
-negated row duals, which is how the dual vector is reported.
+Pivoting uses Dantzig's entering rule (most negative reduced cost, lowest
+index on ties) and the lexicographic ratio test (Dantzig, Orden and Wolfe
+1955).  From the first pivot on, ties in the ratio test are broken by the
+lexicographically smallest tied row of B^-1 divided by the pivot column,
+B^-1 being the artificial block of the tableau, and by the lowest row
+among equal ones; only the columns in which the tied rows differ are
+compared.  The rows of [b | B^-1] start lexicographically positive, as
+B_0 = I and b >= 0, and in exact arithmetic each pivot keeps them so.  Each
+pivot then adds a positive multiple of one such row to the objective row's
+entries over [b | B^-1], so those entries, led by the negated objective,
+rise lexicographically: no basis repeats within a phase and the simplex
+cannot cycle, however degenerate the program.  max_iter stays as a guard
+against roundoff.  Tied pivots below 1e-6 of the largest tie only through
+roundoff and are passed over.  After each pivot the right-hand side is
+clamped at zero, so a tie taken within tolerance cannot leave a basic
+variable at -1e-11.  Artificial columns stay in the tableau through phase
+two, blocked from entering; their reduced costs there are the negated row
+duals, which is how the dual vector is reported.
 
 Phase 1 starts every row from its artificial, except a row that holds
 both a +e_i and a -e_i column, such as a gap row <f, x> - d+ + d- = t:
@@ -19,24 +30,6 @@ after the row flip that makes b nonnegative, it starts from its lowest
 +e_i column, whose value b_i is feasible.  That column equals the row's
 artificial, so the first basis is still I and the artificial block of
 the tableau still holds B^-1.
-
-A caller may ask for the lexicographic ratio test (Dantzig, Orden and
-Wolfe 1955) per call, solve(lp, lexicographic=True).  From the first
-pivot on, ties in the ratio test are then broken by the lexicographically
-smallest tied row of B^-1 divided by the pivot column, B^-1 being the
-artificial block of the tableau, and by the lowest row among equal ones;
-only the columns in which the tied rows differ are compared.  The rows of
-[b | B^-1] start lexicographically positive and, in exact arithmetic, the
-rule keeps them so, which on its own rules out cycling on the highly
-degenerate projection program.  Such a solve therefore keeps Dantzig's
-entering rule throughout, with max_iter as its only guard: a switch to
-Bland's rule there stalls it for tens of thousands of pivots.  Tied
-pivots below 1e-6 of the largest tie only through roundoff and are
-passed over.  After each pivot of such a solve the right-hand side is
-clamped at zero, so a tie taken within tolerance cannot leave a basic
-variable at -1e-11.  The rule stays off by default: the other programs
-keep their pivot path, and with it the optimal vertex they report where
-several are optimal.
 
 The tableau is never refactorized, so pivots can leave roundoff in it.
 After phase 2 one matvec checks A x = b.  Only on a miss above FEAS_TOL
@@ -139,14 +132,9 @@ class LpSolution:
     phase1_iterations: int = 0
 
 
-def solve(
-    lp: LinearProgram,
-    max_iter: int | None = None,
-    *,
-    lexicographic: bool = False,
-) -> LpSolution:
-    """Run two-phase primal simplex on a standard-form program; with
-    lexicographic=True, ratio-test ties are broken lexicographically."""
+def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
+    """Run two-phase primal simplex on a standard-form program, breaking
+    ratio-test ties lexicographically."""
     m, n = lp.n_rows, lp.n_vars
 
     # Split free variables into nonnegative parts.
@@ -208,23 +196,16 @@ def solve(
         np.multiply.outer(col, Tb[i], out=update)
         Tb[...] -= update
         basis[i] = j
-        if lexicographic:
-            np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
+        np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
 
     def run_phase(allowed: np.ndarray) -> str:
         nonlocal iterations
-        bland = False
-        stall = 0
-        best = Tb[m, -1]
         while True:
             zrow = Tb[m, : N + m]
             candidates = allowed & (zrow < -OPT_TOL)
             if not candidates.any():
                 return "optimal"
-            if bland:
-                j = int(np.flatnonzero(candidates)[0])
-            else:
-                j = int(np.argmin(np.where(candidates, zrow, np.inf)))
+            j = int(np.argmin(np.where(candidates, zrow, np.inf)))
             colvals = Tb[:m, j]
             eligible = colvals > PIVOT_TOL
             if not eligible.any():
@@ -234,28 +215,14 @@ def solve(
             tied = np.flatnonzero(ratios <= rmin + 1e-12 + 1e-9 * abs(rmin))
             if tied.size == 1:
                 i = int(tied[0])
-            elif lexicographic:
-                i = _lex_min_row(Tb[:m, N : N + m], tied, colvals)
             else:
-                i = int(tied[np.argmin(basis[tied])])
+                i = _lex_min_row(Tb[:m, N : N + m], tied, colvals)
             pivot(i, j)
             iterations += 1
             if iterations > max_iter:
                 raise IterationLimit(
                     f"simplex exceeded {max_iter} pivots on a {m}x{N} tableau"
                 )
-            # The objective row rhs holds the negated objective, so progress
-            # pushes it up; under the default rule a long flat stretch flips
-            # us to Bland's rule.  The lexicographic rule cannot cycle.
-            if lexicographic:
-                continue
-            if Tb[m, -1] > best + 1e-12 * (1.0 + abs(best)):
-                best = Tb[m, -1]
-                stall = 0
-            else:
-                stall += 1
-                if not bland and stall >= 2 * max(m, 1):
-                    bland = True
 
     # Phase 1: minimize the artificial mass.
     phase1_cost = np.concatenate([np.zeros(N), np.ones(m)])
@@ -277,13 +244,13 @@ def solve(
         )
 
     # Drive artificials out of the basis where a usable pivot exists;
-    # rows that offer none are redundant and keep a zero-level artificial.
+    # rows that offer none (a program with no columns offers none) are
+    # redundant and keep a zero-level artificial.
     for i in range(m):
         if basis[i] >= N:
             entries = np.abs(Tb[i, :N])
-            j = int(np.argmax(entries))
-            if entries[j] > 1e-8:
-                pivot(i, j)
+            if entries.max(initial=0.0) > 1e-8:
+                pivot(i, int(np.argmax(entries)))
                 iterations += 1
     phase1_iterations = iterations
 

@@ -546,7 +546,7 @@ class TestExitCodes:
 
         def drift(lp, *args, **kwargs):
             sol = real(lp, *args, **kwargs)
-            sol.x[(lp.n_vars - 1) // 2] = -1e-9  # the measure program's first xi weight
+            sol.x[(lp.n_vars - 1) // 2] = -1e-9  # the measure program's last gamma weight
             return sol
 
         monkeypatch.setattr(lrac.simplex, "solve", drift)
@@ -683,6 +683,11 @@ class TestReducedTableau:
             argv = ["verify", "--problem", "toy", "--y0", str(y0)]
             [(rows, cols)] = self._shapes(capsys, monkeypatch, argv)
             assert rows <= 5 and cols <= 8, (y0, rows, cols)
+
+    def test_random_160_largest_reached_set(self, capsys, monkeypatch):
+        # the largest measure program of the random n = 10..160 verify panel
+        argv = ["verify", "--problem", "random", "--states", "160", "--seed", "2", "--y0", "80"]
+        assert self._shapes(capsys, monkeypatch, argv) == [(187, 448)]
 
 
 _CROSS_PANEL = [

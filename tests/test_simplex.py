@@ -82,7 +82,7 @@ class TestHandFixtures:
         _assert_kkt(lp, sol)
 
     def test_degenerate_vertex(self):
-        # three constraints meet at the optimum; Bland fallback must cope
+        # three constraints meet at the optimum; the lexicographic ratio test must cope
         lp = LinearProgram(
             c=np.array([-1.0, -1.0, 0.0, 0.0, 0.0]),
             A=np.array(
@@ -100,12 +100,55 @@ class TestHandFixtures:
         _assert_kkt(lp, sol)
 
     def test_zero_objective(self):
+        # the second program has no columns: its one row, 0 = 0, is redundant
+        for lp in (
+            LinearProgram(c=np.zeros(2), A=np.array([[1.0, 1.0]]), b=np.array([1.0])),
+            LinearProgram(c=np.zeros(0), A=np.zeros((1, 0)), b=np.array([0.0])),
+        ):
+            sol = solve(lp)
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(0.0)
+            assert sol.x.shape == (lp.n_vars,)
+
+    def test_beale_cycling_example(self):
+        # Beale's example in Chvatal's form: started from its first three
+        # columns, Dantzig's rule cycles on it with either plain tie-break
+        # (lowest basic index or topmost row)
         lp = LinearProgram(
-            c=np.zeros(2), A=np.array([[1.0, 1.0]]), b=np.array([1.0])
+            c=np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]),
+            A=np.array(
+                [
+                    [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                    [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                    [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+                ]
+            ),
+            b=np.array([0.0, 0.0, 1.0]),
         )
         sol = solve(lp)
         assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(0.0)
+        assert sol.objective == pytest.approx(-1.25)
+        assert sol.x == pytest.approx([0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        _assert_kkt(lp, sol)
+
+    def test_kuhn_cycling_example(self):
+        # Kuhn's example: started from its slack columns, Dantzig's rule
+        # cycles on it when ties leave from the topmost row
+        lp = LinearProgram(
+            c=np.array([-2.0, -3.0, 1.0, 12.0, 0.0, 0.0, 0.0]),
+            A=np.array(
+                [
+                    [-2.0, -9.0, 1.0, 9.0, 1.0, 0.0, 0.0],
+                    [1.0 / 3.0, 1.0, -1.0 / 3.0, -2.0, 0.0, 1.0, 0.0],
+                    [2.0, 3.0, -1.0, -12.0, 0.0, 0.0, 1.0],
+                ]
+            ),
+            b=np.array([0.0, 0.0, 2.0]),
+        )
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-2.0)
+        _assert_kkt(lp, sol)
 
 
 class TestStatuses:
@@ -276,7 +319,7 @@ class TestLexicographic:
         graph = build_graph(random_problem(20, 3, 2))
         gamma = solve_primal(graph, 0).pair.gamma
         lp = _projection_lp(graph, gamma.weights, chebyshev_basis(graph))
-        sol = solve(lp, lexicographic=True)
+        sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective <= 1e-9
         assert sol.x.min() >= 0.0
@@ -296,7 +339,7 @@ class TestLexicographic:
         traj = rollout(graph, y0, greedy_policy(graph, vf), steps)
         measure = discounted_occupational_measure(traj, alpha)
         lp = _projection_lp(graph, measure.weights, chebyshev_basis(graph))
-        sol = solve(lp, lexicographic=True)
+        sol = solve(lp)
         assert sol.status == "optimal"
         assert abs(sol.x[: graph.n_pairs].sum() - 1.0) <= 1e-9
         ref = scipy_optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
@@ -328,14 +371,14 @@ class TestLexicographic:
         monkeypatch.setattr(simplex, "_lex_min_row", checked)
         rng = np.random.default_rng(19)
         for k in range(80):
-            sol = solve(_degenerate_lp(rng, gaps=k % 2 == 1), lexicographic=True)
+            sol = solve(_degenerate_lp(rng, gaps=k % 2 == 1))
             assert sol.status in ("optimal", "unbounded")
         graph = build_graph(random_problem(10, 3, 0))
         basis = chebyshev_basis(graph, J=16)
         for y0 in range(4):
             measure = occupational_measure(policy_trajectory(graph, y0, 16))
             lp = _projection_lp(graph, measure.weights, basis)
-            assert solve(lp, lexicographic=True).status == "optimal"
+            assert solve(lp).status == "optimal"
         assert len(seen) >= 200 and max(seen) >= 5, (len(seen), max(seen))
 
 
@@ -351,20 +394,18 @@ class TestGapRowCrash:
             A=np.hstack([F, -np.eye(5), np.eye(5)]),
             b=b,
         )
-        for lexicographic in (False, True):
-            sol = solve(lp, lexicographic=lexicographic)
-            assert sol.status == "optimal"
-            assert sol.phase1_iterations == 0
-            _assert_kkt(lp, sol)
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        assert sol.phase1_iterations == 0
+        _assert_kkt(lp, sol)
 
     def test_lone_unit_columns_keep_their_artificials(self):
         # column 1 is e_0 with no -e_0 partner, so row 0 starts on its
         # artificial; crashing lone columns too changes solve_primal's pivot path
         lp = LinearProgram(c=np.array([1.0, 3.0]), A=np.array([[2.0, 1.0]]), b=np.array([1.0]))
-        for lexicographic in (False, True):
-            sol = solve(lp, lexicographic=lexicographic)
-            assert sol.status == "optimal"
-            assert sol.phase1_iterations > 0
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        assert sol.phase1_iterations > 0
 
     def test_projection_takes_fewer_pivots(self):
         # the projection of toy's T = 16 measure from y0 = 0

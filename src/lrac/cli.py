@@ -19,16 +19,20 @@ k_membership, a minimum mean cycle over the whole graph that solves no LP.
 Every k*(theta), theta = 0 included (upper links, solve's --theta,
 sweep's d* and its theta rows), is k_star_theta's minimum mean cycle,
 which builds no program; solve and verify run the breadth-first search
-from y0 once, in v_per, for all of them.  Only verify solves the
-theta = 0 measure program, once, over the states that search reached,
-as its independent cross-check; a sweep's only LPs are its projections
-onto W.  Every command's first use of y0 is that search, which rejects
-a y0 outside [0, n).
+from y0 once, in v_per, for all of them, and sweep runs it once too.
+Only verify solves the theta = 0 measure program, once, over the states
+that search reached, as its independent cross-check; a sweep's only LPs
+are its projections onto W.  Every command's first use of y0 is that
+search, which rejects a y0 outside [0, n).
 Every V_T a command prints is read off one dp._horizon_table, run up to
-its largest horizon: solve's chain, verify's horizon row and the rows of
-sweep --sweep T, which also reads each horizon's optimal trajectory off
-that table with dp._horizon_walk, T steps from y0.  Each horizon is
-checked by dp._check_horizon before the table is built.
+its largest horizon over the states reachable from y0 alone (the
+sub-graph of problem._closed_subgraph, whose rows are the full graph's
+there): solve's chain, verify's horizon row and the rows of sweep
+--sweep T, which also reads each horizon's optimal trajectory off that
+table with dp._horizon_walk, T steps from y0, and maps its pairs back to
+the whole graph.  Each horizon is checked by dp._check_horizon before the
+table is built.  Every k*(theta) runs its cycle recursion on the same
+sub-graph, which each command builds once, after its one search.
 --out sends any command's report to a file instead of stdout, byte for
 byte what stdout would have shown.
 
@@ -86,6 +90,7 @@ from .problem import (
     ControlProblem,
     ProblemFormatError,
     ViabilityViolation,
+    _closed_subgraph,
     build_graph,
     load_problem,
 )
@@ -93,10 +98,10 @@ from .programs import (
     _k_star_reached,
     _solve_primal_reached,
     k_membership,
-    k_star_theta,
     pair_from_process,
     pair_residuals,
     project_to_W,
+    reachable_states,
     # Not called here; perfbench/selftest.py checks that the tracer
     # rebinds this module's reference to it.
     solve_dual,  # noqa: F401
@@ -166,22 +171,26 @@ def _discounted_measure(graph, y0: int, alpha: float):
     return vf, discounted_occupational_measure(traj, alpha)
 
 
-def _chain(graph, y0: int, cycle, horizons) -> list[tuple[int, float, float, float]]:
+def _chain(graph, y0: int, cycle, reached, horizons) -> list[tuple[int, float, float, float]]:
     """(T, lower, V_T, upper) bracket rows, one per horizon, from the v_per
-    result cycle.
+    result cycle and reached, _closed_subgraph's result for its reachable
+    states.
 
     lower = d* - S_eta/T is the link its certificate proves, with S_eta
     the largest rise of eta from y0 to a reachable state; V_T is read off
-    one horizon table up to the largest T; upper is k*(theta) at transfer
-    price theta = 2M/T, the cycle recursion on the same reachable states.
+    one horizon table over the reachable states, up to the largest T;
+    upper is k*(theta) at transfer price theta = 2M/T, the cycle recursion
+    on the same states.
     """
     cert = cycle.cert
     eta_span = float(np.max(cert.eta[cycle.reach]) - cert.eta[y0])
-    S = _horizon_table_upto(graph, horizons)
+    sub, states, _ = reached
+    S = _horizon_table_upto(sub, horizons)
+    start = int(np.searchsorted(states, y0))
     rows = []
     for T in horizons:
-        vT = float(S[T, y0] / T)
-        upper = _k_star_reached(graph, cycle.reach, cycle.dist, 2.0 * graph.cost_bound / T).value
+        vT = float(S[T, start] / T)
+        upper = _k_star_reached(graph, reached, cycle.dist, 2.0 * graph.cost_bound / T).value
         rows.append((T, cert.mu - eta_span / T, vT, upper))
     return rows
 
@@ -217,6 +226,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     theta_list = _parse_floats(args.theta)
 
     cycle = v_per(graph, y0)
+    reached = _closed_subgraph(graph, y0, cycle.reach)
     cert = cycle.cert
     k_star, residuals, gap = _optimality_residuals(graph, y0, cycle)
     feedback = extract_feedback(graph, cert.eta)
@@ -229,7 +239,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "lower_ok": lower <= vT + 1e-7,
             "upper_ok": vT <= upper + 1e-7,
         }
-        for T, lower, vT, upper in _chain(graph, y0, cycle, sorted(set(T_list)))
+        for T, lower, vT, upper in _chain(graph, y0, cycle, reached, sorted(set(T_list)))
     ]
     result = {
         "problem": problem.name,
@@ -245,7 +255,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         },
         "k_star": k_star,
         "k_star_theta": {
-            str(t): _k_star_reached(graph, cycle.reach, cycle.dist, t).value
+            str(t): _k_star_reached(graph, reached, cycle.dist, t).value
             for t in sorted(set(theta_list))
         },
         "d_star": cert.mu,
@@ -273,7 +283,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args)
     graph = build_graph(problem)
     y0 = args.y0
-    d_star = k_star_theta(graph, y0, 0.0).value
+    reach, hops, _ = reachable_states(graph, y0)
+    reached = _closed_subgraph(graph, y0, reach)
+    sub, states, pairs = reached
+    d_star = _k_star_reached(graph, reached, hops, 0.0).value
     # The test-function basis is built the first time a row's measure is
     # off W, and only then: theta rows are cycle measures, and many alpha
     # and T rows sit on a cycle, so most sweeps never project.
@@ -290,10 +303,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     if args.sweep == "T":
         horizons = sorted(set(_parse_ints(args.values)))
-        S = _horizon_table_upto(graph, horizons)
+        S = _horizon_table_upto(sub, horizons)
+        start = int(np.searchsorted(states, y0))
         for T in horizons:
-            value = float(S[T, y0] / T)
-            traj = Trajectory.from_pairs(graph, _horizon_walk(graph, S, y0, T))
+            value = float(S[T, start] / T)
+            traj = Trajectory.from_pairs(graph, pairs[_horizon_walk(sub, S, start, T)])
             dist = distance_to_W(occupational_measure(traj))
             rows.append([float(T), value, value - d_star, dist])
     elif args.sweep == "alpha":
@@ -303,7 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append([alpha, vf(y0), vf(y0) - d_star, dist])
     else:
         for theta in sorted(set(_parse_floats(args.values))):
-            res = k_star_theta(graph, y0, theta)
+            res = _k_star_reached(graph, reached, hops, theta)
             dist = distance_to_W(res.gamma)
             rows.append([theta, res.value, res.value - d_star, dist])
     header = ["parameter", "value", "gap_to_dstar", "distance_to_W"]
@@ -330,7 +344,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scale = 1.0 + graph.cost_bound
 
     cycle = v_per(graph, y0)
-    primal = _solve_primal_reached(graph, y0, cycle.reach, 0.0)
+    reached = _closed_subgraph(graph, y0, cycle.reach)
+    primal = _solve_primal_reached(graph, y0, reached, 0.0)
     cert = primal.cert
     q = primal.as_q_form()
     spread = max(
@@ -344,7 +359,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     ok = True
     detail = []
-    for T, lower, vT, upper in _chain(graph, y0, cycle, (10, 100)):
+    for T, lower, vT, upper in _chain(graph, y0, cycle, reached, (10, 100)):
         ok = ok and (lower - 1e-7 <= vT <= upper + 1e-7)
         detail.append(f"T={T}: {lower:.6g} <= {vT:.6g} <= {upper:.6g}")
     results.append(("horizon bracketing", ok, "; ".join(detail)))

@@ -8,8 +8,22 @@ so V_T is exact up to float addition.  _horizon_table runs it once and
 keeps every row S_0..S_T; _horizon_walk reads one optimal path off it and
 _horizon_policy every state's pairs.  Callers needing several horizons
 build one table up to the largest, and programs._min_mean_cycle walks
-Karp's table on the reversed graph, built by the same function.  Discounted
-values solve the fixed point h(y) = min over u of (1 - alpha) k(y, u) +
+Karp's table on the reversed graph, built by the same function.  A row
+reads only the rows of its successors, so a table over a closed set of
+states (problem._closed_subgraph) holds the full table's columns there.
+
+Past its first n rows a long table is filled in blocks where that pays.
+The argmin pairs of the recursion settle after a transient, as powers of
+a min-plus matrix are eventually periodic (Cohen, Dubois, Quadrat & Viot
+1985), so a block guesses that the last row's argmin pairs stay optimal,
+fills the next rows along that stationary policy with the plain step's
+own additions (one np.add.accumulate per block along the policy's
+cycles, one vector op per level of its trees: _policy_decomposition),
+and keeps a row only where one vectorised pass over every pair finds it
+equal to the plain step's float.  The table is therefore the plain
+recursion's bit for bit; _fill_in_blocks states when a block is tried.
+
+Discounted values solve the fixed point h(y) = min over u of (1 - alpha) k(y, u) +
 alpha h(f(y, u)) by Howard policy iteration: each stationary policy is
 evaluated exactly by one linear solve, and a state changes its pair only
 where another pair improves the one-step lookahead by more than
@@ -180,19 +194,242 @@ def _check_horizon(T: int) -> None:
         raise ValueError("horizon must be at least 1")
 
 
+def _policy_decomposition(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The functional graph y -> succ[y] of a stationary policy: its
+    cycles, then the trees that feed them, level by level.
+
+    Returns (order, bounds, levels).  order lists the states on cycles,
+    cycle j being order[bounds[j] : bounds[j + 1]] in the order of succ,
+    which maps its last state back to its first.  levels[d - 1] holds, in
+    increasing order, the states d steps from their cycle, so the
+    successor of a state in a level lies on a cycle or in the level before.
+    A recursion along the policy can thus run cycle by cycle, then level
+    by level, as _PolicyPlan.fill does.
+    """
+    n = succ.size
+    image = succ
+    for _ in range((n - 1).bit_length()):
+        image = image[image]
+    # succ applied 2^K >= n times lands every state on its cycle, and every
+    # cycle state is reached so from its own cycle
+    known = np.zeros(n, dtype=bool)
+    known[image] = True
+    step, seen = succ.tolist(), [False] * n
+    order, bounds = [], [0]
+    for y in np.flatnonzero(known).tolist():
+        if not seen[y]:
+            while not seen[y]:
+                seen[y] = True
+                order.append(y)
+                y = step[y]
+            bounds.append(len(order))
+    levels = []
+    rest = np.flatnonzero(~known)
+    while rest.size:
+        ready = known[succ[rest]]
+        levels.append(rest[ready])
+        known[levels[-1]] = True
+        rest = rest[~ready]
+    return np.array(order, dtype=int), np.array(bounds, dtype=int), levels
+
+
+# The block rule of _fill_in_blocks counts costs in numpy calls, the Python
+# around them included: a plain step makes _STEP_CALLS; a block about
+# _BLOCK_CALLS, plus three per column of its check and five per tree level
+# (two-axis fancy indexing weighs more than a plain call); a policy's
+# decomposition about _DECOMPOSE_CALLS plus three per tree level and one
+# per _CYCLE_STATES_PER_CALL cycle states, once per table.
+_STEP_CALLS = 4
+_BLOCK_CALLS = 40
+_DECOMPOSE_CALLS = 40
+_CYCLE_STATES_PER_CALL = 8
+# A block's scratch arrays hold at most this many floats.
+_BLOCK_FLOATS = 1 << 16
+
+
+class _PolicyPlan:
+    """One stationary policy, laid out for block fills of _horizon_table.
+
+    The policy's cost c(y) and successor f(y) per state; its cycles as
+    order (see _policy_decomposition) with each listed state's cycle start
+    and length; its tree levels with their successors and costs; and the
+    calls a block under it costs (see _STEP_CALLS), its decomposition's
+    counted in first_calls.
+    """
+
+    def __init__(self, graph: Graph, pair: np.ndarray, width: int) -> None:
+        succ, cost = graph.pair_succ[pair], graph.pair_cost[pair]
+        order, bounds, levels = _policy_decomposition(succ)
+        lengths = np.diff(bounds)
+        self.order = order
+        self.start = np.repeat(bounds[:-1], lengths)[:, None]
+        self.pos = np.arange(order.size)[:, None] - self.start
+        self.length = np.repeat(lengths, lengths)[:, None]
+        self.cost = cost
+        self.levels = [(level, succ[level], cost[level]) for level in levels]
+        self.block_calls = _BLOCK_CALLS + 3 * width + 5 * len(levels)
+        self.first_calls = (
+            self.block_calls
+            + _DECOMPOSE_CALLS
+            + 3 * len(levels)
+            + order.size // _CYCLE_STATES_PER_CALL
+        )
+
+    def fill(self, S: np.ndarray, k: int, B: int) -> None:
+        """Rows k + 1 .. k + B of S along the policy, from row k: each entry
+        is c(y) + S_{j-1}(f(y)), the plain step's sum for the policy's pair.
+
+        Along a cycle the rows run down diagonals: row k + j of the state j
+        steps behind a cycle state x is the cost of those j states added
+        one by one to S_k(x), which one np.add.accumulate does for every
+        diagonal at once.  Each tree level then takes one vector op over
+        all B rows, as its successors' rows are already filled."""
+        rows, ahead = S[k + 1 : k + B + 1], np.arange(B)
+        # diagonal[i, j] is the state j + 1 steps behind cycle state order[i]
+        diagonal = self.order[self.start + (self.pos - ahead - 1) % self.length]
+        sums = np.empty((self.order.size, B + 1))
+        sums[:, 0] = S[k, self.order]
+        sums[:, 1:] = self.cost[diagonal]
+        np.add.accumulate(sums, axis=1, out=sums)
+        rows[ahead[:, None], diagonal.T] = sums[:, 1:].T
+        for level, succ, cost in self.levels:
+            rows[:, level] = S[k : k + B, succ] + cost
+
+
 def _horizon_table(graph: Graph, T: int) -> np.ndarray:
     """The (T + 1, n_states) table of the recursion: row k is S_k, the
-    cheapest k-step total from each state, row 0 being zero."""
-    S = np.zeros((T + 1, graph.n_states))
+    cheapest k-step total from each state, row 0 being zero.
+
+    Every row holds the plain step's floats: each entry is the minimum
+    over the state's pairs of k(y, u) + S_{k-1}(f(y, u)).  The first
+    min(T, n) rows are plain steps, so Karp's tables (N <= n rows) are
+    never filled otherwise.  After them the argmin pairs of the recursion
+    mostly settle, as min-plus matrix powers are eventually periodic, and
+    the rest may be filled in blocks along them (_fill_in_blocks); a table
+    with too few rows left for any block to pay is plain throughout.
+    """
+    n = graph.n_states
+    S = np.zeros((T + 1, n))
     cost, succ, offsets = graph.pair_cost, graph.pair_succ, graph.state_offset[:-1]
+    least = _least_block(1)
+    plain = n if T - max(n, least // 4) >= least else T
     S_k = S[0]
-    for k in range(1, T + 1):
+    for k in range(1, plain + 1):
         # S_{k-1}(f) + k(y, u), added in place: float addition commutes
         # exactly, so this is the lookahead k(y, u) + S_{k-1}(f) itself
         lookahead = S_k[succ]
         lookahead += cost
         S_k = S[k] = np.minimum.reduceat(lookahead, offsets)
+    if plain < T:
+        _fill_in_blocks(graph, S, plain, lookahead)
     return S
+
+
+def _fill_in_blocks(graph: Graph, S: np.ndarray, k: int, lookahead: np.ndarray) -> None:
+    """Rows k + 1 .. T of the horizon table S, given rows 0 .. k and row
+    k's lookahead: in blocks along the current optimal policy where that
+    pays, in plain steps elsewhere, every row equal to the plain step's.
+
+    A block guesses that an argmin pair of row k per state stays optimal
+    for the next B rows and fills them along that policy (_PolicyPlan.fill).
+    One vectorised pass (_block_minimum) then recomputes every pair's
+    lookahead k(y, u) + S_{j-1}(f(y, u)) on the filled rows, and its
+    per-state minimum.  Row j is kept when it equals that minimum in every
+    state: row j - 1 was kept, so the minimum is the plain step's float.
+    The first row that misses gets the pass's minimum, the plain step's
+    for the same reason, and its argmin pairs are the next guess.
+
+    When a block is tried: costs are counted in numpy calls (_STEP_CALLS).
+    Call p the rows of plain steps that cost as much as a block under a
+    policy, its decomposition included when the policy is new.  Guesses
+    are compared as they are made, at most p rows apart for the cheapest
+    policy, and a policy has held since the first of a run of equal
+    guesses.  It gets a block only once it has held for p rows, and that
+    block is as long as it has held, at most 4p rows, on the guess that a
+    policy lasts about as long again as it has lasted; each block that
+    keeps all its rows doubles the next.  No guess is made when fewer rows
+    are left, or fit in the _BLOCK_FLOATS scratch space, than 4p of the
+    cheapest policy, so short tables are plain steps throughout.  A policy
+    whose blocks keep fewer than p rows before one misses doubles the row
+    of the next guess, so misses waste at most one block and one
+    decomposition per doubling of the row.  Decompositions are cached per
+    policy, as the recursion may come back to one.
+    """
+    T, n = S.shape[0] - 1, S.shape[1]
+    cost, succ, offsets = graph.pair_cost, graph.pair_succ, graph.state_offset[:-1]
+    counts = np.diff(graph.state_offset)
+    width = int(counts.max())
+    cap = _BLOCK_FLOATS // n
+    least = _least_block(width)
+    columns = None
+    plans: dict[bytes, _PolicyPlan] = {}
+    guess, since = None, k  # the last guess, made at every guess since row since
+    wait = k  # the row of the next guess
+    while True:
+        if min(cap, T - wait) < least:
+            wait = T
+        S_k = S[k]
+        while k < wait:
+            lookahead = S_k[succ]
+            lookahead += cost
+            k += 1
+            S_k = S[k] = np.minimum.reduceat(lookahead, offsets)
+        if k == T:
+            return
+        hits = np.flatnonzero(lookahead == np.repeat(S_k, counts))
+        pair = offsets.copy()
+        pair[graph.pair_state[hits]] = hits
+        if guess is None or not np.array_equal(pair, guess):
+            guess, since, wait = pair, k, k + least // 4
+            continue
+        plan = plans.get(pair.tobytes())
+        if plan is None:
+            plan = plans[pair.tobytes()] = _PolicyPlan(graph, pair, width)
+            pays = -(-plan.first_calls // _STEP_CALLS)
+        else:
+            pays = -(-plan.block_calls // _STEP_CALLS)
+        if k - since < pays:
+            wait = 2 * k - since
+            continue
+        if columns is None:
+            padded = offsets[:, None] + np.minimum(np.arange(width), counts[:, None] - 1)
+            columns = list(zip(succ[padded].T, cost[padded].T))
+        B, kept, wait = min(4 * pays, k - since, cap, T - k), 0, T
+        while B * _STEP_CALLS >= plan.block_calls:
+            plan.fill(S, k, B)
+            M = _block_minimum(S[k : k + B], columns)
+            ok = (M == S[k + 1 : k + B + 1]).all(axis=1)
+            if ok.all():
+                k, kept, B = k + B, kept + B, min(2 * B, cap, T - k - B)
+                continue
+            r = int(np.argmin(ok))
+            S[k + 1 + r] = M[r]
+            kept += r
+            k += r + 1
+            lookahead = S[k - 1][succ]
+            lookahead += cost
+            wait = 2 * k if kept < pays else k
+            break
+
+
+def _least_block(width: int) -> int:
+    """4p for the cheapest new policy (see _fill_in_blocks), whose states
+    have at most width pairs each: the fewest rows left for a guess."""
+    return 4 * -(-(_BLOCK_CALLS + 3 * width + _DECOMPOSE_CALLS) // _STEP_CALLS)
+
+
+def _block_minimum(rows: np.ndarray, columns) -> np.ndarray:
+    """Per-state minimum of k(y, u) + S(f(y, u)) for each row S of rows,
+    one padded pair column at a time: the same float sums as a plain step,
+    and the minimum of the same values."""
+    (succ, cost), *rest = columns
+    M = rows[:, succ]
+    M += cost
+    for succ, cost in rest:
+        L = rows[:, succ]
+        L += cost
+        np.minimum(M, L, out=M)
+    return M
 
 
 def _horizon_walk(graph: Graph, S: np.ndarray, y: int, steps: int) -> list[int]:

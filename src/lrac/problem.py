@@ -10,6 +10,7 @@ works on.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -130,9 +131,11 @@ class Graph:
     def n_pairs(self) -> int:
         return self.pair_state.shape[0]
 
-    @property
+    @functools.cached_property
     def cost_bound(self) -> float:
-        """M, the maximum absolute running cost over admissible pairs."""
+        """M, the maximum absolute running cost over admissible pairs,
+        computed once per graph: the upper links of every horizon and the
+        solver gates all read it."""
         return float(np.max(np.abs(self.pair_cost)))
 
     def pairs_of_state(self, y: int) -> np.ndarray:
@@ -183,6 +186,53 @@ def build_graph(problem: ControlProblem) -> Graph:
     for arr in arrays.values():
         arr.setflags(write=False)
     return Graph(problem=problem, **arrays)
+
+
+def _closed_subgraph(graph: Graph, y0: int, states) -> tuple[Graph, np.ndarray, np.ndarray]:
+    """The graph of a set of states that holds y0 and is closed under the
+    dynamics, as the states reachable from y0 are.
+
+    Returns (sub, states, pairs): states sorted and unique, the state i of
+    sub being states[i] and its pair j the pair pairs[j] of graph, in the
+    same (state, action) order, with graph's pair costs and with successors
+    renumbered; a set of every state returns graph itself.  Every recursion
+    over pairs reads on sub exactly what it reads on graph in the columns
+    of states.  A set without y0, or with a pair that leads out of it,
+    raises ValueError.
+    """
+    n = graph.n_states
+    reached = np.zeros(n, dtype=bool)
+    reached[states] = True
+    kept = reached[graph.pair_state]
+    if not (0 <= y0 < n and reached[y0] and reached[graph.pair_succ[kept]].all()):
+        raise ValueError(
+            f"the states given for y0={y0} must hold y0 and be closed under the dynamics"
+        )
+    states, pairs = reached.nonzero()[0], kept.nonzero()[0]
+    if states.size == n:
+        return graph, states, pairs
+    local = np.cumsum(reached) - 1  # the index in states of each reached state
+    problem = graph.problem
+    succ = problem.successor[states]
+    sub = ControlProblem(
+        problem.name,
+        problem.states[states],
+        problem.actions,
+        np.where(succ >= 0, local[succ], -1),
+        problem.cost[states],
+    )
+    offsets = np.zeros(states.size + 1, dtype=int)
+    np.cumsum(graph.state_offset[states + 1] - graph.state_offset[states], out=offsets[1:])
+    arrays = dict(
+        pair_state=local[graph.pair_state[pairs]],
+        pair_action=graph.pair_action[pairs],
+        pair_succ=local[graph.pair_succ[pairs]],
+        pair_cost=graph.pair_cost[pairs],
+        state_offset=offsets,
+    )
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return Graph(problem=sub, **arrays), states, pairs
 
 
 def snap_dynamics(

@@ -48,7 +48,7 @@ For theta > 0 the measure program's minimum still sits at gamma uniform
 on one reachable cycle C, with xi carrying the unit of mass from y0
 along shortest hop paths; k_star_theta reads that value as the minimum
 mean of k + theta * hop(y0, .) over reachable cycles, off the same
-recursion.
+recursion run on the sub-graph of the reachable states alone.
 The q-form program is the dual with mu eliminated, maximizing psi(y0):
 
     maximize   psi(y0)
@@ -81,7 +81,7 @@ from .measures import (
     state_marginal,
     stationarity_residual,
 )
-from .problem import Graph, _per_state
+from .problem import Graph, _closed_subgraph, _per_state
 from . import simplex
 
 __all__ = [
@@ -242,16 +242,14 @@ def _check_theta(theta: float) -> None:
         raise ValueError("theta must be nonnegative")
 
 
-def _incidence(graph: Graph, pairs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal and inflow indicator matrices of the given pairs (default
-    every pair), each (n_states, len(pairs)), one column per pair in order."""
-    if pairs is None:
-        pairs = np.arange(graph.n_pairs)
-    cols = np.arange(pairs.size)
-    marg = np.zeros((graph.n_states, pairs.size))
-    inflow = np.zeros((graph.n_states, pairs.size))
-    marg[graph.pair_state[pairs], cols] = 1.0
-    inflow[graph.pair_succ[pairs], cols] = 1.0
+def _incidence(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal and inflow indicator matrices of the pairs of graph, each
+    (n_states, n_pairs), one column per pair in order."""
+    cols = np.arange(graph.n_pairs)
+    marg = np.zeros((graph.n_states, graph.n_pairs))
+    inflow = np.zeros((graph.n_states, graph.n_pairs))
+    marg[graph.pair_state, cols] = 1.0
+    inflow[graph.pair_succ, cols] = 1.0
     return marg, inflow
 
 
@@ -267,18 +265,18 @@ def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
     only as verify's independent cross-check.
     """
     reach, _, _ = reachable_states(graph, y0)
-    return _solve_primal_reached(graph, y0, reach, theta)
+    return _solve_primal_reached(graph, y0, _closed_subgraph(graph, y0, reach), theta)
 
 
-def _solve_primal_reached(
-    graph: Graph, y0: int, reach: np.ndarray, theta: float
-) -> PrimalResult:
-    """solve_primal from y0 over the states reach, as reachable_states(graph,
-    y0) returns them, so that verify's one breadth-first search serves it.
+def _solve_primal_reached(graph: Graph, y0: int, reached, theta: float) -> PrimalResult:
+    """solve_primal from y0 over reached, problem._closed_subgraph's result
+    for the states reachable_states(graph, y0) finds, so that verify's one
+    breadth-first search and one sub-graph serve it.
 
     The program over a set of states has the full program's optimum when
     the set holds y0 and is closed under the dynamics (see the module
-    docstring); a reach that is not raises ValueError.  gamma and xi are
+    docstring), which _closed_subgraph checks; the program's states, pairs
+    and rows are read off its sub-graph.  gamma and xi are
     padded with zeros and validated as measures on the whole graph; one
     that misses its sign or mass constraint by more than roundoff raises
     simplex.InaccurateSolution.  So does an optimum whose dual or gap KKT
@@ -291,22 +289,14 @@ def _solve_primal_reached(
     """
     _check_theta(theta)
     n = graph.n_states
-    reached = np.zeros(n, dtype=bool)
-    reached[reach] = True
-    states = np.flatnonzero(reached)
-    pairs = np.flatnonzero(reached[graph.pair_state])
-    if not (np.any(states == y0) and reached[graph.pair_succ[pairs]].all()):
-        raise ValueError(
-            f"the states given for y0={y0} must hold y0 and be closed under the dynamics"
-        )
+    sub, states, pairs = reached
     m, Q = states.size, pairs.size
     M = graph.cost_bound or 1.0
-    marg, inflow = _incidence(graph, pairs)
-    marg, inflow = marg[states], inflow[states]
+    marg, inflow = _incidence(sub)
     A = np.zeros((2 * m + 1, 2 * Q))  # columns gamma, xi
     b = np.zeros(2 * m + 1)
     c = np.zeros(2 * Q)
-    c[:Q] = graph.pair_cost[pairs] / M
+    c[:Q] = sub.pair_cost / M
     c[Q:] = theta / M
     A[0, :Q] = 1.0
     b[0] = 1.0
@@ -338,7 +328,9 @@ def _solve_primal_reached(
     eta = np.zeros(n)
     psi[states] = -y[m + 1 :]
     eta[states] = -y[1 : m + 1]
-    cert = _lift_certificate(graph, y0, float(y[0]), psi, eta, reached, theta)
+    inside = np.zeros(n, dtype=bool)
+    inside[states] = True
+    cert = _lift_certificate(graph, y0, float(y[0]), psi, eta, inside, theta)
     residuals = simplex.kkt_residuals(lp, sol)
     misses = {
         "dual": residuals["dual"] * M,
@@ -370,23 +362,25 @@ def k_star_theta(graph: Graph, y0: int, theta: float) -> ErgodicInnerResult:
     that cycle; the value is that cycle's mean of the shifted costs.
     """
     reach, dist, _ = reachable_states(graph, y0)
-    return _k_star_reached(graph, reach, dist, theta)
+    return _k_star_reached(graph, _closed_subgraph(graph, y0, reach), dist, theta)
 
 
-def _k_star_reached(
-    graph: Graph, reach: np.ndarray, dist: np.ndarray, theta: float
-) -> ErgodicInnerResult:
-    """k_star_theta from y0, given reach and dist of reachable_states(graph, y0),
-    so that one breadth-first search serves every theta.
+def _k_star_reached(graph: Graph, reached, dist: np.ndarray, theta: float) -> ErgodicInnerResult:
+    """k_star_theta from y0, given the hop distances dist of
+    reachable_states(graph, y0) and reached, _closed_subgraph's result for
+    the states that search reached, so that one search and one sub-graph
+    serve every theta.  The cycle recursion runs on that sub-graph, whose
+    rows are the full graph's over the reached states.
 
     Raises ValueError for a theta so large that the recursion's N-step
     sums, of shifted costs at most M + theta N in size, could overflow.
     """
     _check_theta(theta)
-    N = reach.size
+    sub, states, pairs = reached
+    N = states.size
     if not np.isfinite(2.0 * N * (graph.cost_bound + float(theta) * N)):
         raise ValueError(f"theta {theta:g} is too large: the cycle recursion would overflow")
-    return _cycle_measure(graph, theta * dist[graph.pair_state], reach)
+    return _cycle_measure(graph, sub, pairs, theta * dist[graph.pair_state[pairs]])
 
 
 def solve_dual(graph: Graph, y0: int, theta: float = 0.0) -> DualResult:
@@ -411,7 +405,7 @@ def ergodic_inner_lp(graph: Graph, w: np.ndarray) -> ErgodicInnerResult:
     the uniform measure on that cycle.  w is a per-state array.
     """
     w = _per_state(graph, w, "w")
-    return _cycle_measure(graph, -w[graph.pair_state], np.arange(graph.n_states))
+    return _cycle_measure(graph, graph, np.arange(graph.n_pairs), -w[graph.pair_state])
 
 
 def k_membership(graph: Graph, w: np.ndarray, tol: float = 1e-7) -> bool:
@@ -438,19 +432,20 @@ def reachable_states(graph: Graph, y0: int) -> tuple[np.ndarray, np.ndarray, np.
     n = graph.n_states
     if not 0 <= y0 < n:
         raise ValueError(f"y0 must be a state index in [0, {n})")
-    dist = np.full(n, -1, dtype=int)
-    pred_pair = np.full(n, -1, dtype=int)
+    succ, offset = graph.pair_succ.tolist(), graph.state_offset.tolist()
+    dist, pred_pair = [-1] * n, [-1] * n
     dist[y0] = 0
     queue = deque([int(y0)])
     while queue:
         y = queue.popleft()
-        for g in graph.pairs_of_state(y):
-            z = int(graph.pair_succ[g])
+        for g in range(offset[y], offset[y + 1]):
+            z = succ[g]
             if dist[z] < 0:
                 dist[z] = dist[y] + 1
                 pred_pair[z] = g
                 queue.append(z)
-    return np.flatnonzero(dist >= 0), dist, pred_pair
+    dist = np.array(dist)
+    return np.flatnonzero(dist >= 0), dist, np.array(pred_pair)
 
 
 def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float, np.ndarray]:
@@ -493,12 +488,15 @@ def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float,
     return cycle, mean, S
 
 
-def _cycle_measure(graph: Graph, shift: np.ndarray, states: np.ndarray) -> ErgodicInnerResult:
-    """_min_mean_cycle of pair costs k + shift among a closed set of states,
-    with the uniform measure on that cycle."""
-    shifted = replace(graph, pair_cost=graph.pair_cost + shift)
-    cycle, value, _ = _min_mean_cycle(shifted, states)
-    weights = np.bincount(cycle, minlength=graph.n_pairs) / len(cycle)
+def _cycle_measure(
+    graph: Graph, sub: Graph, pairs: np.ndarray, shift: np.ndarray
+) -> ErgodicInnerResult:
+    """_min_mean_cycle of the pair costs k + shift of sub, the graph of a
+    closed set of states whose pair j is graph's pair pairs[j], with the
+    uniform measure on that cycle as a measure on graph."""
+    shifted = replace(sub, pair_cost=sub.pair_cost + shift)
+    cycle, value, _ = _min_mean_cycle(shifted, np.arange(sub.n_states))
+    weights = np.bincount(pairs[cycle], minlength=graph.n_pairs) / len(cycle)
     return ErgodicInnerResult(value=value, gamma=OccupationalMeasure(graph=graph, weights=weights))
 
 

@@ -133,6 +133,17 @@ def horizon_value_brute(graph, y0: int, T: int) -> float:
     return go(int(y0), T) / T
 
 
+def plain_horizon_table(graph, T: int) -> np.ndarray:
+    """The horizon table by one plain step per row over the whole graph:
+    each row is the per-state minimum of S_{k-1}(f) + k(y, u), the floats
+    dp._horizon_table must reproduce exactly."""
+    S = np.zeros((T + 1, graph.n_states))
+    for k in range(1, T + 1):
+        lookahead = S[k - 1][graph.pair_succ] + graph.pair_cost
+        S[k] = np.minimum.reduceat(lookahead, graph.state_offset[:-1])
+    return S
+
+
 def tied_graphs() -> list:
     """Random graphs with integer costs from {0, 1, 2}, which tie many
     lookaheads exactly."""

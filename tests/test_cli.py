@@ -29,7 +29,7 @@ from lrac import (
 )
 from lrac.cli import main
 
-from conftest import box_distance, policy_trajectory
+from conftest import box_distance, plain_horizon_table, policy_trajectory
 
 
 def _run(capsys, argv):
@@ -745,6 +745,51 @@ class TestOneSearchPerCommand:
         code, _ = _run(capsys, argv)
         assert code == 0
         assert seen == [0]
+
+
+# The dp-horizon benchmark workload's starts, and its random n = 20 solves.
+_HORIZON_STARTS = (
+    [["--problem", "toy", "--y0", str(y0)] for y0 in (0, 4, 8, 15, 20)]
+    + [["--problem", "threestate", "--y0", str(y0)] for y0 in (0, 1, 2)]
+    + [["--problem", "random", "--states", "20", "--seed", str(s), "--y0", "0"] for s in range(4)]
+)
+
+
+class TestReachedHorizonTable:
+    """solve and sweep --sweep T read V_T and the horizon trajectories off
+    one table over the states reachable from y0, filled in blocks; every
+    printed number must be what the plain full-graph recursion gives."""
+
+    @pytest.mark.parametrize("start", _HORIZON_STARTS, ids=" ".join)
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "--T", "16,256,4096"],
+            ["sweep", "--sweep", "T", "--values", "1,16,64,256,1024,4096", "--format", "json"],
+        ],
+        ids=["solve", "sweep"],
+    )
+    def test_plain_full_table_rows(self, capsys, monkeypatch, start, command):
+        argv = command[:1] + start + command[1:]
+        code, got = _run(capsys, argv)
+        assert code == 0
+        args = lrac.cli._build_parser().parse_args(argv)
+        graph = build_graph(lrac.cli._resolve_problem(args))
+        states = lrac.programs.reachable_states(graph, args.y0)[0]
+        full = plain_horizon_table(graph, 4096)
+
+        def plain(sub, T):
+            assert sub.n_states == states.size
+            return full[: T + 1, states]
+
+        monkeypatch.setattr(lrac.cli, "_horizon_table", plain)
+        assert _run(capsys, argv) == (0, got)
+        data = json.loads(got)
+        if command[0] == "solve":
+            values = {int(T): v for T, v in data["V_T"].items()}
+        else:
+            values = {int(row["parameter"]): row["value"] for row in data}
+        assert values and all(v == full[T, args.y0] / T for T, v in values.items())
 
 
 class TestOneHorizonTable:

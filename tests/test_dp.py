@@ -23,7 +23,7 @@ from lrac import (
     value_iteration_discounted,
 )
 
-from conftest import horizon_value_brute, policy_trajectory, tied_graphs
+from conftest import horizon_value_brute, plain_horizon_table, policy_trajectory, tied_graphs
 
 
 class TestHorizonValues:
@@ -145,6 +145,69 @@ class TestHorizonTable:
         assert policy.shape == (1000, toy_graph.n_states)
         block = lrac.dp._POLICY_BLOCK
         assert block < 1000 and max(rows) == block and sum(rows) == 1000
+
+
+def _block_graphs():
+    graphs = [build_graph(toy_problem()), build_graph(threestate_problem()), *tied_graphs()]
+    for n in (20, 40, 80):
+        graphs += [build_graph(random_problem(n, 3, seed)) for seed in range(8)]
+    return graphs
+
+
+class TestHorizonBlocks:
+    """_horizon_table fills rows in blocks along a guessed policy and keeps
+    a row only when it equals the plain step's float: the table must be
+    the plain per-step recursion, bit for bit, on every graph and at every
+    horizon around the block edges.  Random n = 40 seeds 2, 5 and 7 settle
+    their argmin pairs only at rows 2338, 2517 and 2854."""
+
+    def test_matches_plain_recursion(self):
+        for graph in _block_graphs():
+            m = graph.n_states
+            for T in sorted({1, max(m - 1, 1), m, m + 1, 64, 100, 255, 256, 257, 1000, 4096}):
+                S = lrac.dp._horizon_table(graph, T)
+                assert np.array_equal(S, plain_horizon_table(graph, T)), (graph.problem.name, T)
+
+    def test_blocks_run_and_miss(self, monkeypatch):
+        # the panel above must exercise both kept blocks and missed rows
+        real = lrac.dp._PolicyPlan.fill
+        blocks = []
+
+        def recording(plan, S, k, B):
+            blocks.append((k, B))
+            return real(plan, S, k, B)
+
+        monkeypatch.setattr(lrac.dp._PolicyPlan, "fill", recording)
+        lrac.dp._horizon_table(build_graph(random_problem(40, 3, 2)), 4096)
+        ends = [k + B for k, B in blocks]
+        starts = [k for k, _ in blocks[1:]]
+        assert blocks and any(start < end for start, end in zip(starts, ends))
+
+    def test_karp_tables_are_plain(self, monkeypatch):
+        # tables of at most n rows, as _min_mean_cycle builds, never block
+        def refuse(plan, S, k, B):
+            raise AssertionError("a block was tried")
+
+        monkeypatch.setattr(lrac.dp._PolicyPlan, "fill", refuse)
+        for graph in _block_graphs():
+            lrac.dp._horizon_table(graph, graph.n_states)
+
+    def test_policy_decomposition(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 5, 40, 300):
+            for _ in range(20):
+                succ = rng.integers(0, n, size=n)
+                order, bounds, levels = lrac.dp._policy_decomposition(succ)
+                listed = np.concatenate([order, *levels]) if levels else order
+                assert np.array_equal(np.sort(listed), np.arange(n))
+                for j in range(bounds.size - 1):
+                    cycle = order[bounds[j] : bounds[j + 1]]
+                    assert np.array_equal(succ[cycle], np.roll(cycle, -1))
+                before = order
+                for level in levels:
+                    assert level.size and np.all(np.diff(level) > 0)
+                    assert np.isin(succ[level], before).all()
+                    before = level
 
 
 class TestHorizonWalk:

@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from lrac.dp import _horizon_table
+from lrac.problem import _closed_subgraph
+from lrac.programs import reachable_states
 from lrac import (
     ControlProblem,
     ProblemFormatError,
@@ -119,6 +122,51 @@ class TestBuildGraph:
         for seed in range(5):
             g = build_graph(random_problem(6, 3, seed))
             assert g.n_pairs >= 6  # at least the self-loop per state
+
+
+class TestClosedSubgraph:
+    """The graph of the states reachable from y0: its pairs are the full
+    graph's over those states, in order, and every horizon table row over
+    it is the full table's row over them."""
+
+    def _starts(self):
+        graphs = [build_graph(toy_problem()), build_graph(threestate_problem())]
+        graphs += [build_graph(random_problem(n, 3, seed)) for n in (20, 80) for seed in range(3)]
+        for graph in graphs:
+            for y0 in range(0, graph.n_states, max(1, graph.n_states // 7)):
+                yield graph, y0
+
+    def test_pairs_map_back(self):
+        for graph, y0 in self._starts():
+            reach = reachable_states(graph, y0)[0]
+            sub, states, pairs = _closed_subgraph(graph, y0, reach)
+            assert np.array_equal(states, reach)
+            assert np.array_equal(pairs, np.flatnonzero(np.isin(graph.pair_state, reach)))
+            assert np.array_equal(states[sub.pair_state], graph.pair_state[pairs])
+            assert np.array_equal(states[sub.pair_succ], graph.pair_succ[pairs])
+            assert np.array_equal(sub.pair_action, graph.pair_action[pairs])
+            assert np.array_equal(sub.pair_cost, graph.pair_cost[pairs])
+            rebuilt = build_graph(sub.problem)
+            for name in ("pair_state", "pair_action", "pair_succ", "pair_cost", "state_offset"):
+                assert np.array_equal(getattr(sub, name), getattr(rebuilt, name)), name
+
+    def test_table_rows_are_the_full_rows(self):
+        for graph, y0 in self._starts():
+            sub, states, _ = _closed_subgraph(graph, y0, reachable_states(graph, y0)[0])
+            for T in (3, 300):
+                full = _horizon_table(graph, T)
+                assert np.array_equal(_horizon_table(sub, T), full[:, states])
+
+    def test_every_state_is_the_graph_itself(self):
+        graph = build_graph(threestate_problem())
+        sub, states, pairs = _closed_subgraph(graph, 1, [2, 0, 1, 1])
+        assert sub is graph
+        assert states.tolist() == [0, 1, 2] and pairs.tolist() == list(range(graph.n_pairs))
+
+    @pytest.mark.parametrize("y0, states", [(0, [1, 2]), (0, [0, 1]), (-1, [0, 1, 2]), (3, [0, 1, 2])])
+    def test_set_must_hold_y0_and_be_closed(self, y0, states):
+        with pytest.raises(ValueError, match="closed under the dynamics"):
+            _closed_subgraph(build_graph(threestate_problem()), y0, states)
 
 
 class TestSnapDynamics:

@@ -354,8 +354,10 @@ class TestReducedProgram:
         ],
     )
     def test_set_must_hold_y0_and_be_closed(self, threestate_graph, states):
+        # the program's states and pairs, and this check, are the sub-graph's
         with pytest.raises(ValueError, match="closed under the dynamics"):
-            lrac.programs._solve_primal_reached(threestate_graph, 0, np.array(states), 0.0)
+            reached = lrac.programs._closed_subgraph(threestate_graph, 0, np.array(states))
+            lrac.programs._solve_primal_reached(threestate_graph, 0, reached, 0.0)
 
 
 class TestThetaFamily:

@@ -12,16 +12,22 @@ Karp's table on the reversed graph, built by the same function.  A row
 reads only the rows of its successors, so a table over a closed set of
 states (problem._closed_subgraph) holds the full table's columns there.
 
-Past its first n rows a long table is filled in blocks where that pays.
-The argmin pairs of the recursion settle after a transient, as powers of
-a min-plus matrix are eventually periodic (Cohen, Dubois, Quadrat & Viot
-1985), so a block guesses that the last row's argmin pairs stay optimal,
-fills the next rows along that stationary policy with the plain step's
-own additions (one np.add.accumulate per block along the policy's
-cycles, one vector op per level of its trees: _policy_decomposition),
-and keeps a row only where one vectorised pass over every pair finds it
-equal to the plain step's float.  The table is therefore the plain
-recursion's bit for bit; _fill_in_blocks states when a block is tried.
+Past its first n rows a long table may be filled in blocks.  The argmin
+pairs of the recursion settle after a transient, as powers of a min-plus
+matrix are eventually periodic (Cohen, Dubois, Quadrat & Viot 1985), so
+a block guesses that one row's argmin pairs stay optimal, fills the next
+rows along that stationary policy with the plain step's own additions
+(one np.add.accumulate per block along the policy's cycles, one vector op
+per level of its trees: _policy_decomposition), and keeps a row only
+where one vectorised pass over every pair finds it equal to the plain
+step's float.  The table is therefore the plain recursion's bit for bit.
+One rule sizes the blocks (_horizon_table): a guess's first block is
+_LEAST_BLOCK rows and each block that keeps all its rows doubles the
+next; a miss falls back to at most _LEAST_BLOCK plain steps, never more
+than the rows it wasted, before the next guess; the first guess waits
+until its pairs have held for half a least block; and no guess is made
+with fewer than two least blocks of rows left, so short tables and
+Karp's are plain throughout.
 
 Discounted values solve the fixed point h(y) = min over u of (1 - alpha) k(y, u) +
 alpha h(f(y, u)) by Howard policy iteration: each stationary policy is
@@ -233,18 +239,12 @@ def _policy_decomposition(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, lis
     return np.array(order, dtype=int), np.array(bounds, dtype=int), levels
 
 
-# The block rule of _fill_in_blocks counts costs in numpy calls, the Python
-# around them included: a plain step makes _STEP_CALLS; a block about
-# _BLOCK_CALLS, plus three per column of its check and five per tree level
-# (two-axis fancy indexing weighs more than a plain call); a policy's
-# decomposition about _DECOMPOSE_CALLS plus three per tree level and one
-# per _CYCLE_STATES_PER_CALL cycle states, once per table.
-_STEP_CALLS = 4
-_BLOCK_CALLS = 40
-_DECOMPOSE_CALLS = 40
-_CYCLE_STATES_PER_CALL = 8
-# A block's scratch arrays hold at most this many floats.
-_BLOCK_FLOATS = 1 << 16
+# The rows of the first block of a guess; see _horizon_table.
+_LEAST_BLOCK = 64
+# A block's scratch arrays hold at most this many floats (256 KB each):
+# past that a block costs more per row (on random n = 40, 1.0 us a row at
+# 512 rows and 1.35 us at 1024), and a long block that misses wastes more.
+_BLOCK_FLOATS = 1 << 15
 
 
 class _PolicyPlan:
@@ -252,12 +252,10 @@ class _PolicyPlan:
 
     The policy's cost c(y) and successor f(y) per state; its cycles as
     order (see _policy_decomposition) with each listed state's cycle start
-    and length; its tree levels with their successors and costs; and the
-    calls a block under it costs (see _STEP_CALLS), its decomposition's
-    counted in first_calls.
+    and length; and its tree levels with their successors and costs.
     """
 
-    def __init__(self, graph: Graph, pair: np.ndarray, width: int) -> None:
+    def __init__(self, graph: Graph, pair: np.ndarray) -> None:
         succ, cost = graph.pair_succ[pair], graph.pair_cost[pair]
         order, bounds, levels = _policy_decomposition(succ)
         lengths = np.diff(bounds)
@@ -267,13 +265,6 @@ class _PolicyPlan:
         self.length = np.repeat(lengths, lengths)[:, None]
         self.cost = cost
         self.levels = [(level, succ[level], cost[level]) for level in levels]
-        self.block_calls = _BLOCK_CALLS + 3 * width + 5 * len(levels)
-        self.first_calls = (
-            self.block_calls
-            + _DECOMPOSE_CALLS
-            + 3 * len(levels)
-            + order.size // _CYCLE_STATES_PER_CALL
-        )
 
     def fill(self, S: np.ndarray, k: int, B: int) -> None:
         """Rows k + 1 .. k + B of S along the policy, from row k: each entry
@@ -302,120 +293,83 @@ def _horizon_table(graph: Graph, T: int) -> np.ndarray:
 
     Every row holds the plain step's floats: each entry is the minimum
     over the state's pairs of k(y, u) + S_{k-1}(f(y, u)).  The first
-    min(T, n) rows are plain steps, so Karp's tables (N <= n rows) are
-    never filled otherwise.  After them the argmin pairs of the recursion
-    mostly settle, as min-plus matrix powers are eventually periodic, and
-    the rest may be filled in blocks along them (_fill_in_blocks); a table
-    with too few rows left for any block to pay is plain throughout.
+    min(T, n) rows are plain steps, so Karp's tables (N <= n rows) never
+    block.  After them one rule fills the rest:
+
+    - A guess takes an argmin pair per state of the last filled row and
+      fills the next rows along that policy (_PolicyPlan.fill, cached per
+      policy, as the recursion may come back to one).  One vectorised pass
+      (_block_minimum) recomputes every pair's lookahead on the filled
+      rows, and row j is kept when it equals the per-state minimum in every
+      state: row j - 1 was kept, so that minimum is the plain step's float.
+    - A guess's first block is _LEAST_BLOCK rows, and each block that
+      keeps all its rows is followed by one twice as long under the same
+      policy; a block that would leave fewer than _LEAST_BLOCK rows after
+      it takes them too.
+    - From the first row a block misses, plain steps run for the rows it
+      filled and did not keep, at most _LEAST_BLOCK, and then the next
+      guess is made: a block that missed early waits longest.  So a block
+      after a missed one starts at most min(wasted, _LEAST_BLOCK) rows
+      after the missed block's last kept row.
+    - Before the first block nothing shows that the pairs have settled, so
+      the first guess waits until its pairs equal those of the row
+      _LEAST_BLOCK // 2 before it (of row 1 on shorter tables), in steps
+      of that many plain rows.
+    - No guess is made when fewer than 2 * _LEAST_BLOCK rows are left, or
+      fit in the _BLOCK_FLOATS scratch space: on tables of 6 to 153
+      states a first block, its policy's decomposition included, costs
+      half to two thirds of the plain steps over its rows, so a guess
+      pays only when its block can double.  Short tables are plain
+      throughout.
     """
     n = graph.n_states
     S = np.zeros((T + 1, n))
     cost, succ, offsets = graph.pair_cost, graph.pair_succ, graph.state_offset[:-1]
-    least = _least_block(1)
-    plain = n if T - max(n, least // 4) >= least else T
-    S_k = S[0]
-    for k in range(1, plain + 1):
-        # S_{k-1}(f) + k(y, u), added in place: float addition commutes
-        # exactly, so this is the lookahead k(y, u) + S_{k-1}(f) itself
-        lookahead = S_k[succ]
-        lookahead += cost
-        S_k = S[k] = np.minimum.reduceat(lookahead, offsets)
-    if plain < T:
-        _fill_in_blocks(graph, S, plain, lookahead)
-    return S
-
-
-def _fill_in_blocks(graph: Graph, S: np.ndarray, k: int, lookahead: np.ndarray) -> None:
-    """Rows k + 1 .. T of the horizon table S, given rows 0 .. k and row
-    k's lookahead: in blocks along the current optimal policy where that
-    pays, in plain steps elsewhere, every row equal to the plain step's.
-
-    A block guesses that an argmin pair of row k per state stays optimal
-    for the next B rows and fills them along that policy (_PolicyPlan.fill).
-    One vectorised pass (_block_minimum) then recomputes every pair's
-    lookahead k(y, u) + S_{j-1}(f(y, u)) on the filled rows, and its
-    per-state minimum.  Row j is kept when it equals that minimum in every
-    state: row j - 1 was kept, so the minimum is the plain step's float.
-    The first row that misses gets the pass's minimum, the plain step's
-    for the same reason, and its argmin pairs are the next guess.
-
-    When a block is tried: costs are counted in numpy calls (_STEP_CALLS).
-    Call p the rows of plain steps that cost as much as a block under a
-    policy, its decomposition included when the policy is new.  Guesses
-    are compared as they are made, at most p rows apart for the cheapest
-    policy, and a policy has held since the first of a run of equal
-    guesses.  It gets a block only once it has held for p rows, and that
-    block is as long as it has held, at most 4p rows, on the guess that a
-    policy lasts about as long again as it has lasted; each block that
-    keeps all its rows doubles the next.  No guess is made when fewer rows
-    are left, or fit in the _BLOCK_FLOATS scratch space, than 4p of the
-    cheapest policy, so short tables are plain steps throughout.  A policy
-    whose blocks keep fewer than p rows before one misses doubles the row
-    of the next guess, so misses waste at most one block and one
-    decomposition per doubling of the row.  Decompositions are cached per
-    policy, as the recursion may come back to one.
-    """
-    T, n = S.shape[0] - 1, S.shape[1]
-    cost, succ, offsets = graph.pair_cost, graph.pair_succ, graph.state_offset[:-1]
-    counts = np.diff(graph.state_offset)
-    width = int(counts.max())
-    cap = _BLOCK_FLOATS // n
-    least = _least_block(width)
-    columns = None
+    counts, cap, least = np.diff(graph.state_offset), _BLOCK_FLOATS // n, _LEAST_BLOCK
     plans: dict[bytes, _PolicyPlan] = {}
-    guess, since = None, k  # the last guess, made at every guess since row since
-    wait = k  # the row of the next guess
-    while True:
-        if min(cap, T - wait) < least:
-            wait = T
+    columns, plan = None, None
+    k, wait = 0, min(n, T)  # rows 0 .. k are filled; the next block starts at row wait
+
+    def pairs(j: int) -> np.ndarray:  # an argmin pair per state of row j
+        hits = np.flatnonzero(S[j - 1][succ] + cost == np.repeat(S[j], counts))
+        pair = offsets.copy()
+        pair[graph.pair_state[hits]] = hits
+        return pair
+
+    while k < T:
         S_k = S[k]
         while k < wait:
+            # S_{k-1}(f) + k(y, u), added in place: float addition commutes
+            # exactly, so this is the lookahead k(y, u) + S_{k-1}(f) itself
             lookahead = S_k[succ]
             lookahead += cost
             k += 1
             S_k = S[k] = np.minimum.reduceat(lookahead, offsets)
-        if k == T:
-            return
-        hits = np.flatnonzero(lookahead == np.repeat(S_k, counts))
-        pair = offsets.copy()
-        pair[graph.pair_state[hits]] = hits
-        if guess is None or not np.array_equal(pair, guess):
-            guess, since, wait = pair, k, k + least // 4
-            continue
-        plan = plans.get(pair.tobytes())
         if plan is None:
-            plan = plans[pair.tobytes()] = _PolicyPlan(graph, pair, width)
-            pays = -(-plan.first_calls // _STEP_CALLS)
-        else:
-            pays = -(-plan.block_calls // _STEP_CALLS)
-        if k - since < pays:
-            wait = 2 * k - since
-            continue
-        if columns is None:
-            padded = offsets[:, None] + np.minimum(np.arange(width), counts[:, None] - 1)
-            columns = list(zip(succ[padded].T, cost[padded].T))
-        B, kept, wait = min(4 * pays, k - since, cap, T - k), 0, T
-        while B * _STEP_CALLS >= plan.block_calls:
-            plan.fill(S, k, B)
-            M = _block_minimum(S[k : k + B], columns)
-            ok = (M == S[k + 1 : k + B + 1]).all(axis=1)
-            if ok.all():
-                k, kept, B = k + B, kept + B, min(2 * B, cap, T - k - B)
+            if min(cap, T - k) < 2 * least:
+                wait = T
                 continue
-            r = int(np.argmin(ok))
-            S[k + 1 + r] = M[r]
-            kept += r
-            k += r + 1
-            lookahead = S[k - 1][succ]
-            lookahead += cost
-            wait = 2 * k if kept < pays else k
-            break
-
-
-def _least_block(width: int) -> int:
-    """4p for the cheapest new policy (see _fill_in_blocks), whose states
-    have at most width pairs each: the fewest rows left for a guess."""
-    return 4 * -(-(_BLOCK_CALLS + 3 * width + _DECOMPOSE_CALLS) // _STEP_CALLS)
+            pair = pairs(k)
+            if columns is None:  # no block yet
+                if not np.array_equal(pair, pairs(max(k - least // 2, 1))):
+                    wait = k + least // 2
+                    continue
+                padded = offsets[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+                columns = list(zip(succ[padded].T, cost[padded].T))
+            plan = plans.get(pair.tobytes())
+            if plan is None:
+                plan = plans[pair.tobytes()] = _PolicyPlan(graph, pair)
+            B = least
+        B = min(B if T - k - B >= least else T - k, cap)
+        plan.fill(S, k, B)
+        ok = (_block_minimum(S[k : k + B], columns) == S[k + 1 : k + B + 1]).all(axis=1)
+        if ok.all():
+            k, wait, B = k + B, k + B, 2 * B
+        else:
+            kept = int(np.argmin(ok))
+            k += kept
+            wait, plan = k + min(B - kept, least), None
+    return S
 
 
 def _block_minimum(rows: np.ndarray, columns) -> np.ndarray:

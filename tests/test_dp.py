@@ -23,6 +23,9 @@ from lrac import (
     value_iteration_discounted,
 )
 
+from lrac.problem import _closed_subgraph
+from lrac.programs import reachable_states
+
 from conftest import horizon_value_brute, plain_horizon_table, policy_trajectory, tied_graphs
 
 
@@ -154,6 +157,11 @@ def _block_graphs():
     return graphs
 
 
+def _reached(problem, y0: int = 0):
+    graph = build_graph(problem)
+    return _closed_subgraph(graph, y0, reachable_states(graph, y0)[0])[0]
+
+
 class TestHorizonBlocks:
     """_horizon_table fills rows in blocks along a guessed policy and keeps
     a row only when it equals the plain step's float: the table must be
@@ -167,6 +175,36 @@ class TestHorizonBlocks:
             for T in sorted({1, max(m - 1, 1), m, m + 1, 64, 100, 255, 256, 257, 1000, 4096}):
                 S = lrac.dp._horizon_table(graph, T)
                 assert np.array_equal(S, plain_horizon_table(graph, T)), (graph.problem.name, T)
+        # the reached sub-graphs the commands build: 30 and 153 states,
+        # whose argmin pairs are still changing when blocks start
+        reached = [(_reached(random_problem(n, 3, seed)), (256, 1000)) for n, seed in ((80, 1), (320, 0))]
+        assert [graph.n_states for graph, _ in reached] == [30, 153]
+        reached += [(_reached(problem), (4096,)) for problem in (toy_problem(), threestate_problem())]
+        for graph, horizons in reached:
+            for T in horizons:
+                S = lrac.dp._horizon_table(graph, T)
+                assert np.array_equal(S, plain_horizon_table(graph, T)), (graph.problem.name, T)
+
+    def test_fallback_after_a_miss(self, monkeypatch):
+        # a block after a missed one starts at most min(wasted,
+        # _LEAST_BLOCK) rows after the missed block's last kept row
+        graph = build_graph(random_problem(40, 3, 2))
+        plain = plain_horizon_table(graph, 4096)
+        real = lrac.dp._PolicyPlan.fill
+        blocks = []
+
+        def recording(plan, S, k, B):
+            real(plan, S, k, B)
+            same = (S[k + 1 : k + B + 1] == plain[k + 1 : k + B + 1]).all(axis=1)
+            blocks.append((k, B, B if same.all() else int(np.argmin(same))))
+
+        monkeypatch.setattr(lrac.dp._PolicyPlan, "fill", recording)
+        lrac.dp._horizon_table(graph, 4096)
+        least = lrac.dp._LEAST_BLOCK
+        missed = [(block, after[0]) for block, after in zip(blocks, blocks[1:]) if block[2] < block[1]]
+        assert len(missed) >= 2
+        for (k, B, kept), start in missed:
+            assert k + kept < start <= k + kept + min(B - kept, least)
 
     def test_blocks_run_and_miss(self, monkeypatch):
         # the panel above must exercise both kept blocks and missed rows

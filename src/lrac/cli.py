@@ -22,8 +22,10 @@ which builds no program; solve and verify run the breadth-first search
 from y0 once, in v_per, for all of them, and sweep runs it once too.
 Only verify solves the theta = 0 measure program, once, over the states
 that search reached, as its independent cross-check; a sweep's only LPs
-are its projections onto W.  Every command's first use of y0 is that
-search, which rejects a y0 outside [0, n).
+are its projections onto W.  Each row's projection first tries the last
+row's optimal basis, so a sweep runs at most one cold simplex solve per
+change of basis.  Every command's first use of y0 is that search, which
+rejects a y0 outside [0, n).
 Every V_T a command prints is read off one dp._horizon_table, run up to
 its largest horizon over the states reachable from y0 alone (the
 sub-graph of problem._closed_subgraph, whose rows are the full graph's
@@ -289,16 +291,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     d_star = _k_star_reached(graph, reached, hops, 0.0).value
     # The test-function basis is built the first time a row's measure is
     # off W, and only then: theta rows are cycle measures, and many alpha
-    # and T rows sit on a cycle, so most sweeps never project.
+    # and T rows sit on a cycle, so most sweeps never project.  Each
+    # projection offers its optimal basis to the next one.
     basis = None
+    last = None
 
     def distance_to_W(measure) -> float:
-        nonlocal basis
+        nonlocal basis, last
         if membership_W(measure):
             return 0.0
         if basis is None:
             basis = chebyshev_basis(graph)
-        return project_to_W(measure, basis).distance
+        last = project_to_W(measure, basis, warm=last)
+        return last.distance
 
     rows = []
     if args.sweep == "T":

@@ -212,29 +212,29 @@ def chebyshev_basis(graph: Graph, J: int = 64) -> MetricBasis:
     live = span > 0
     scaled[:, live] = (2.0 * states[:, live] - (hi + lo)[live]) / span[live]
 
+    # The first ceil(J / K) multi-indices, in order, each giving K rows.
     K = graph.problem.n_actions
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    sx = scaled[graph.pair_state]  # (P, dim)
+    multis: list[tuple[int, ...]] = []
     degree_total = 0
-    while len(rows) < J:
-        for multi in _degree_multi_indices(degree_total, dim):
-            cheb = np.ones(graph.n_pairs)
-            for axis, d in enumerate(multi):
-                if d:
-                    cheb = cheb * np.cos(d * np.arccos(np.clip(sx[:, axis], -1.0, 1.0)))
-            for a in range(K):
-                rows.append(cheb * (graph.pair_action == a))
-                labels.append(f"T{multi}*[u={graph.problem.actions[a]}]")
-                if len(rows) == J:
-                    break
-            if len(rows) == J:
-                break
+    while len(multis) * K < J:
+        multis.extend(_degree_multi_indices(degree_total, dim))
         degree_total += 1
+    multis = multis[: -(-J // K)]
+    degrees = np.array(multis)  # (M, dim)
+    # cheb[i] is the product over axes, in axis order, of T_d(x) =
+    # cos(d arccos x) at d = degrees[i, axis]; T_0 is exactly 1.
+    sx = scaled[graph.pair_state]  # (P, dim)
+    cheb = np.ones((len(multis), graph.n_pairs))
+    for axis in range(dim):
+        theta = np.arccos(np.clip(sx[:, axis], -1.0, 1.0))
+        cheb = cheb * np.cos(np.arange(degree_total)[:, None] * theta)[degrees[:, axis]]
+    on = graph.pair_action == np.arange(K)[:, None]  # (K, P)
+    matrix = (cheb[:, None, :] * on).reshape(-1, graph.n_pairs)[:J]
+    labels = [
+        f"T{multi}*[u={action}]" for multi in multis for action in graph.problem.actions
+    ][:J]
     weights = 0.5 ** np.arange(1, J + 1)
-    return MetricBasis(
-        graph=graph, matrix=np.array(rows), weights=weights, labels=tuple(labels)
-    )
+    return MetricBasis(graph=graph, matrix=matrix, weights=weights, labels=tuple(labels))
 
 
 def _degree_multi_indices(total: int, dim: int) -> list[tuple[int, ...]]:

@@ -229,9 +229,13 @@ class VPerResult:
 
 @dataclass(frozen=True)
 class ProjectionResult:
+    """basis is the program's final simplex basis (see
+    simplex.LpSolution.basis), None when no program ran."""
+
     distance: float
     nearest: OccupationalMeasure
     iterations: int
+    basis: np.ndarray | None = None
 
 
 def _check_theta(theta: float) -> None:
@@ -654,7 +658,11 @@ def certificate_residuals(
     }
 
 
-def project_to_W(measure: OccupationalMeasure, basis: MetricBasis) -> ProjectionResult:
+def project_to_W(
+    measure: OccupationalMeasure,
+    basis: MetricBasis,
+    warm: ProjectionResult | None = None,
+) -> ProjectionResult:
     """Distance from a measure to the stationary polytope, in the basis
     metric, together with a nearest stationary measure.
 
@@ -672,9 +680,18 @@ def project_to_W(measure: OccupationalMeasure, basis: MetricBasis) -> Projection
     lexicographic ratio test, cannot cycle on it.  Gap row j holds -e_j
     and +e_j (the columns of d+_j and d-_j), so the simplex starts it on
     a gap column rather than an artificial, and phase 1 carries
-    artificials only for the mass and stationarity rows.  An optimal x
-    that misses the probability simplex by more than roundoff raises
-    InaccurateSolution.
+    artificials only for the mass and stationarity rows.
+
+    Projections in one metric share the program's matrix and costs and
+    differ only in the right-hand side, so an optimal simplex basis stays
+    optimal for another measure whenever its basic values stay
+    nonnegative.  warm, a projection of another measure, offers its final
+    simplex basis: it is kept, with no pivot, if _basis_solution finds it
+    optimal for this program, and the simplex solves cold otherwise.  A
+    run of projections, such as the rows of a sweep, thus pays at most one
+    cold solve per change of basis.  An optimal x that misses the
+    probability simplex by more than roundoff raises InaccurateSolution,
+    on either path.
     """
     if membership_W(measure):
         return ProjectionResult(distance=0.0, nearest=measure, iterations=0)
@@ -690,7 +707,12 @@ def project_to_W(measure: OccupationalMeasure, basis: MetricBasis) -> Projection
     A[n + 1 :, P + J :] = np.eye(J)
     b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ measure.weights])
     c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
-    sol = simplex.solve(simplex.LinearProgram(c=c, A=A, b=b))
+    lp = simplex.LinearProgram(c=c, A=A, b=b)
+    sol = None
+    if warm is not None and warm.basis is not None:
+        sol = _basis_solution(lp, warm.basis)
+    if sol is None:
+        sol = simplex.solve(lp)
     if sol.status != "optimal":
         raise PrimalInfeasible(f"projection program returned {sol.status}")
     gamma = sol.x[:P]
@@ -702,5 +724,62 @@ def project_to_W(measure: OccupationalMeasure, basis: MetricBasis) -> Projection
             f"projection's nearest measure misses the simplex by {worst:.3g} ({exc})"
         ) from None
     return ProjectionResult(
-        distance=float(sol.objective), nearest=nearest, iterations=sol.iterations
+        distance=float(sol.objective),
+        nearest=nearest,
+        iterations=sol.iterations,
+        basis=sol.basis,
+    )
+
+
+def _basis_solution(lp: simplex.LinearProgram, cols: np.ndarray) -> simplex.LpSolution | None:
+    """The basic solution of lp on the columns cols of [A | I], with no
+    pivot, if that basis is optimal; None if it is not.
+
+    cols indexes the variables, then the artificials, as
+    simplex.LpSolution.basis does (lp has no free variable).  One solve
+    on the basic columns gives x_B and the transposed one the row duals
+    y.  The basis is kept only if x_B >= -FEAS_TOL on the variables,
+    |x_B| <= FEAS_TOL on the artificials of redundant rows, A x = b within
+    FEAS_TOL (a check on the solve itself) and c - A'y >= -OPT_TOL: then
+    x is primal and y dual feasible with complementary slackness, so x is
+    optimal, and x is clamped at zero as simplex.solve clamps it.  Every
+    test reads the current A, b and c, so a basis taken from another
+    program is kept only if it is optimal here; a singular basis, or one
+    of the wrong shape, is refused.
+    """
+    m, N = lp.A.shape
+    cols = np.asarray(cols)
+    if (
+        cols.shape != (m,)
+        or cols.dtype.kind not in "iu"
+        or cols.min(initial=0) < 0
+        or cols.max(initial=0) >= N + m
+        or len(set(cols.tolist())) < m
+    ):
+        return None
+    B = np.hstack([lp.A, np.eye(m)])[:, cols]
+    try:
+        x_B = np.linalg.solve(B, lp.b)
+        y = np.linalg.solve(B.T, np.concatenate([lp.c, np.zeros(m)])[cols])
+    except np.linalg.LinAlgError:
+        return None
+    art = cols >= N
+    if x_B[~art].min(initial=0.0) < -simplex.FEAS_TOL:
+        return None
+    if np.abs(x_B[art]).max(initial=0.0) > simplex.FEAS_TOL:
+        return None
+    x = np.zeros(N)
+    x[cols[~art]] = x_B[~art]
+    if np.max(np.abs(lp.A @ x - lp.b), initial=0.0) > simplex.FEAS_TOL:
+        return None
+    if (lp.c - lp.A.T @ y).min(initial=0.0) < -simplex.OPT_TOL:
+        return None
+    np.maximum(x, 0.0, out=x)
+    return simplex.LpSolution(
+        status="optimal",
+        objective=float(lp.c @ x),
+        x=x,
+        y=y,
+        iterations=0,
+        basis=cols,
     )

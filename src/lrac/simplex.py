@@ -121,6 +121,9 @@ class LpSolution:
     unless optimal.
     iterations counts every pivot; phase1_iterations those of phase 1 and
     the drive-out of artificials.
+    basis holds the final basic columns, one per row, indexed over the
+    split variables and then the artificials; it too is None unless
+    optimal.
     """
 
     status: str
@@ -130,6 +133,7 @@ class LpSolution:
     iterations: int
     phase1_objective: float = 0.0
     phase1_iterations: int = 0
+    basis: np.ndarray | None = None
 
 
 def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
@@ -297,6 +301,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         iterations=iterations,
         phase1_objective=phase1_obj,
         phase1_iterations=phase1_iterations,
+        basis=basis.copy(),
     )
 
 

@@ -600,8 +600,10 @@ class TestSimplexCalls:
     """solve reads both optima off the cycle recursion and runs no program;
     verify solves the theta = 0 measure program once, as its independent
     cross-check; every k*(theta), theta = 0 included, comes off the cycle
-    recursion.  A sweep's only LPs are its projections onto W.  A second
-    tableau for any of them shows up here as an extra simplex call."""
+    recursion.  A sweep's only LPs are its projections onto W, and each
+    row's projection first tries the last row's optimal basis, so a sweep
+    solves cold once per change of basis.  A second tableau for any of
+    them shows up here as an extra simplex call."""
 
     @pytest.mark.parametrize(
         "argv, calls",
@@ -622,16 +624,34 @@ class TestSimplexCalls:
                 ],
                 0,
             ),
-            # one projection per discounted measure off the cycle
+            # both discounted measures are off the cycle; the alpha = 0.9
+            # basis stays optimal at 0.99
             (
                 [
                     "sweep", "--problem", "threestate", "--y0", "0",
                     "--sweep", "alpha", "--values", "0.9,0.99",
                 ],
-                2,
+                1,
             ),
             # both horizon measures are stationary
             (["sweep", "--problem", "toy", "--y0", "15", "--sweep", "T", "--values", "3,5"], 0),
+            # five horizon measures off W; the T = 16 basis holds for the rest
+            (
+                [
+                    "sweep", "--problem", "toy", "--y0", "0",
+                    "--sweep", "T", "--values", "16,64,256,1024,4096",
+                ],
+                1,
+            ),
+            # three discounted measures off W, and no row's basis stays
+            # optimal at the next, so each row solves cold
+            (
+                [
+                    "sweep", "--problem", "random", "--states", "10", "--seed", "0",
+                    "--y0", "0", "--sweep", "alpha", "--values", "0.9,0.99,0.999",
+                ],
+                3,
+            ),
             # at n = 320 the measure program took seconds; the cycle
             # recursion still answers without one
             (["solve", "--problem", "random", "--states", "320", "--seed", "0", "--y0", "0"], 0),

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from lrac import (
+    ControlProblem,
     EmptySet,
     FlowMeasure,
     NoCycleDetected,
     OccupationalMeasure,
     basis_from_functions,
+    build_graph,
     chebyshev_basis,
     detect_cycle,
     discounted_occupational_measure,
@@ -23,6 +25,7 @@ from lrac import (
     membership_W_alpha,
     occupational_measure,
     pairing,
+    random_problem,
     rho,
     rollout,
     state_inflow,
@@ -212,6 +215,36 @@ class TestMarginals:
         assert membership_W(m)
 
 
+def _chebyshev_rows_loop(graph, J):
+    """chebyshev_basis's matrix and labels, one row per Python step."""
+    from lrac.measures import _degree_multi_indices
+
+    states = graph.problem.states
+    lo, hi = states.min(axis=0), states.max(axis=0)
+    span = hi - lo
+    scaled = np.zeros_like(states)
+    live = span > 0
+    scaled[:, live] = (2.0 * states[:, live] - (hi + lo)[live]) / span[live]
+    rows, labels = [], []
+    sx = scaled[graph.pair_state]
+    degree_total = 0
+    while len(rows) < J:
+        for multi in _degree_multi_indices(degree_total, states.shape[1]):
+            cheb = np.ones(graph.n_pairs)
+            for axis, d in enumerate(multi):
+                if d:
+                    cheb = cheb * np.cos(d * np.arccos(np.clip(sx[:, axis], -1.0, 1.0)))
+            for a in range(graph.problem.n_actions):
+                rows.append(cheb * (graph.pair_action == a))
+                labels.append(f"T{multi}*[u={graph.problem.actions[a]}]")
+                if len(rows) == J:
+                    break
+            if len(rows) == J:
+                break
+        degree_total += 1
+    return np.array(rows), tuple(labels)
+
+
 class TestChebyshevBasis:
     def test_size_and_weights(self, toy_graph):
         basis = chebyshev_basis(toy_graph)
@@ -246,6 +279,31 @@ class TestChebyshevBasis:
     def test_J_validated(self, toy_graph):
         with pytest.raises(ValueError):
             chebyshev_basis(toy_graph, J=0)
+
+    def test_matches_row_loop(self, toy_graph, threestate_graph):
+        """The broadcast matrix and labels equal, bit for bit, those of the
+        loop that built one row per multi-index and action."""
+        rng = np.random.default_rng(0)
+        grids = []
+        for dim, n, K in ((2, 12, 3), (3, 9, 2)):
+            grids.append(
+                build_graph(
+                    ControlProblem(
+                        name=f"grid{dim}",
+                        states=rng.normal(size=(n, dim)).round(2),
+                        actions=tuple(f"a{k}" for k in range(K)),
+                        successor=rng.integers(0, n, size=(n, K)),
+                        cost=rng.random((n, K)),
+                    )
+                )
+            )
+        graphs = [toy_graph, threestate_graph, build_graph(random_problem(20, 3, 0)), *grids]
+        for graph in graphs:
+            for J in (1, 2, 5, 63, 64, 100):
+                basis = chebyshev_basis(graph, J)
+                matrix, labels = _chebyshev_rows_loop(graph, J)
+                assert np.array_equal(basis.matrix, matrix), (graph.problem.name, J)
+                assert basis.labels == labels
 
 
 class TestBasisFromFunctions:

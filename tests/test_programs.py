@@ -10,6 +10,7 @@ import lrac.programs
 from lrac import (
     ControlProblem,
     InaccurateSolution,
+    MetricBasis,
     OccupationalMeasure,
     PeriodicProcess,
     build_graph,
@@ -877,6 +878,87 @@ class TestProjection:
                 assert res.distance <= rho(m, res.nearest, basis) + 1e-8
                 checked += 1
         assert checked >= 30, checked
+
+    def test_warm_chain_matches_cold_and_highs(self, toy_graph, threestate_graph):
+        """test_distances_match_highs' off-W measures in sweep order, each
+        projection warm from the last one on its graph, against the cold
+        projection and HiGHS."""
+        groups = [(toy_graph, range(toy_graph.n_states)), (threestate_graph, range(3))]
+        for seed in range(4):
+            groups.append((build_graph(random_problem(20, 3, seed)), (0, 1)))
+        kept = checked = 0
+        for graph, starts in groups:
+            basis = chebyshev_basis(graph)
+            last = None
+            for y0 in starts:
+                for m in _sweep_measures(graph, y0):
+                    if membership_W(m):
+                        continue
+                    cold = project_to_W(m, basis)
+                    assert cold.iterations > 0
+                    res = project_to_W(m, basis, warm=last)
+                    d = cold.distance
+                    assert abs(res.distance - d) <= 1e-15 + 1e-10 * d
+                    assert res.distance == pytest.approx(box_distance(m, basis), abs=1e-8)
+                    assert membership_W(res.nearest, 1e-8)
+                    if res.iterations == 0:
+                        kept += 1
+                        assert np.array_equal(res.basis, last.basis)
+                    checked += 1
+                    last = res
+        # both the kept basis and the cold fallback ran
+        assert 0 < kept < checked, (kept, checked)
+
+    def test_foreign_warm_gives_the_cold_answer(self, threestate_graph):
+        """A basis that is not optimal here, or not a basis of this program
+        at all, is refused, and the projection solves cold."""
+        graph = build_graph(random_problem(10, 3, 0))
+        basis = chebyshev_basis(graph)
+        m = _discounted_measure(graph, 0, 0.99)[1]
+        cold = project_to_W(m, basis)
+        # the alpha = 0.9 basis leaves a basic value negative here
+        other_measure = project_to_W(_discounted_measure(graph, 0, 0.9)[1], basis)
+        # same matrix and right-hand side, other costs: primal feasible,
+        # not dual feasible
+        reweighted = MetricBasis(
+            graph=graph,
+            matrix=basis.matrix,
+            weights=basis.weights[::-1],
+            labels=basis.labels,
+        )
+        other_metric = project_to_W(m, reweighted)
+        other_graph = project_to_W(
+            _discounted_measure(threestate_graph, 0, 0.9)[1], chebyshev_basis(threestate_graph)
+        )
+        # cold's own basis cut short, with a column twice (singular), out of
+        # range, or not of integers
+        cols = cold.basis
+        warms = [other_measure, other_metric, other_graph]
+        warms += [
+            dataclasses.replace(cold, basis=b)
+            for b in (cols[:-1], np.r_[cols[1:], cols[1]], cols + 10**6, cols.astype(float))
+        ]
+        for warm in warms:
+            res = project_to_W(m, basis, warm=warm)
+            assert res.iterations == cold.iterations
+            assert res.distance == cold.distance
+            assert np.array_equal(res.basis, cold.basis)
+
+    def test_warm_drift_is_a_solver_failure(self, toy_graph, monkeypatch):
+        real = lrac.programs._basis_solution
+
+        def drift(lp, cols):
+            sol = real(lp, cols)
+            sol.x[0] += 1e-6
+            return sol
+
+        basis = chebyshev_basis(toy_graph)
+        first, second = (_discounted_measure(toy_graph, 15, a)[1] for a in (0.9, 0.99))
+        warm = project_to_W(first, basis)
+        assert project_to_W(second, basis, warm=warm).iterations == 0
+        monkeypatch.setattr(lrac.programs, "_basis_solution", drift)
+        with pytest.raises(InaccurateSolution, match="1e-06"):
+            project_to_W(second, basis, warm=warm)
 
     @pytest.mark.parametrize(
         "n, seed, y0, alpha, T",

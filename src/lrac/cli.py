@@ -22,9 +22,10 @@ which builds no program; solve and verify run the breadth-first search
 from y0 once, in v_per, for all of them, and sweep runs it once too.
 Only verify solves the theta = 0 measure program, once, over the states
 that search reached, as its independent cross-check; a sweep's only LPs
-are its projections onto W.  Each row's projection first tries the last
-row's optimal basis, so a sweep runs at most one cold simplex solve per
-change of basis.  Every command's first use of y0 is that search, which
+are its projections onto W.  Each row's projection offers simplex.solve
+the last row's optimal basis, kept with no pivot while it stays optimal,
+so a sweep runs at most one cold solve per change of basis.  Every
+command's first use of y0 is that search, which
 rejects a y0 outside [0, n).
 Every V_T a command prints is read off one dp._horizon_table, run up to
 its largest horizon over the states reachable from y0 alone (the
@@ -48,9 +49,10 @@ wrapper) takes effect even after the parser was built.
 
 Exit codes: 0 success, 1 failed invariant or non-viable problem, 2 usage
 or schema errors, an unreadable problem file or an --out that cannot be
-written, 3 a solver failed (simplex iteration limit, a program
-reported infeasible or unbounded, an inaccurate solution, or a DP loop
-that did not converge).
+written, 3 a solver failed (simplex iteration limit, an inaccurate
+solution, including a status other than optimal from a program that is
+feasible and bounded by construction, or a DP loop that did not
+converge).
 """
 
 from __future__ import annotations
@@ -493,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # IterationLimit, InaccurateSolution and PrimalInfeasible subclass it
+        # IterationLimit and InaccurateSolution subclass it
         print(f"solver failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -35,7 +35,7 @@ gamma and xi are 0 off R, and off R the certificate is lifted to the
 whole graph with eta = 0 and psi a constant low enough to satisfy every
 pair there (see _lift_certificate).  The optimum is degenerate, so
 another pivot path may return another, equally valid certificate.  Only
-solve_primal builds a tableau; solve_dual and solve_q_form are views of
+solve_primal builds the program; solve_dual and solve_q_form are views of
 its result.
 
 On a finite graph both optimal values agree with the minimum mean cost
@@ -93,7 +93,6 @@ __all__ = [
     "ErgodicInnerResult",
     "VPerResult",
     "ProjectionResult",
-    "PrimalInfeasible",
     "solve_primal",
     "k_star_theta",
     "solve_dual",
@@ -106,10 +105,6 @@ __all__ = [
     "pair_residuals",
     "reachable_states",
 ]
-
-
-class PrimalInfeasible(RuntimeError):
-    """Defensive: the measure program cannot be infeasible on a viable graph."""
 
 
 @dataclass(frozen=True)
@@ -283,9 +278,10 @@ def _solve_primal_reached(graph: Graph, y0: int, reached, theta: float) -> Prima
     and rows are read off its sub-graph.  gamma and xi are
     padded with zeros and validated as measures on the whole graph; one
     that misses its sign or mass constraint by more than roundoff raises
-    simplex.InaccurateSolution.  So does an optimum whose dual or gap KKT
-    residual, or whose lifted certificate's pair or monotone slack on the
-    whole graph, exceeds 1e-9 (1 + M), naming the worst miss.
+    simplex.InaccurateSolution.  So does a status other than optimal, as
+    the program is feasible and bounded, and an optimum whose dual or gap
+    KKT residual, or whose lifted certificate's pair or monotone slack on
+    the whole graph, exceeds 1e-9 (1 + M), naming the worst miss.
 
     The simplex prices c / M, M = graph.cost_bound (1 when every cost is 0),
     so its tolerances do not depend on the unit of cost; the value and the
@@ -312,8 +308,10 @@ def _solve_primal_reached(graph: Graph, y0: int, reached, theta: float) -> Prima
     lp = simplex.LinearProgram(c=c, A=A, b=b)
     sol = simplex.solve(lp)
     if sol.status != "optimal":
-        raise PrimalInfeasible(
-            f"measure program for y0={y0}, theta={theta} returned {sol.status}"
+        # feasible (the witness cycle's pair) and bounded (mass 1, gamma >= 0)
+        raise simplex.InaccurateSolution(
+            f"measure program for y0={y0}, theta={theta} returned {sol.status} "
+            f"after {sol.iterations} pivots on a {A.shape[0]}x{A.shape[1]} program"
         )
     gamma_w = np.zeros(graph.n_pairs)
     xi_w = np.zeros(graph.n_pairs)
@@ -359,7 +357,7 @@ def _solve_primal_reached(graph: Graph, y0: int, reached, theta: float) -> Prima
 
 def k_star_theta(graph: Graph, y0: int, theta: float) -> ErgodicInnerResult:
     """The measure program's value at transfer price theta, with an optimal
-    gamma, read off the cycle recursion instead of a tableau.
+    gamma, read off the cycle recursion instead of a program.
 
     It is the minimum mean of k + theta * hop(y0, .) over cycles reachable
     from y0 (see the module docstring), attained by the uniform measure on
@@ -686,12 +684,13 @@ def project_to_W(
     differ only in the right-hand side, so an optimal simplex basis stays
     optimal for another measure whenever its basic values stay
     nonnegative.  warm, a projection of another measure, offers its final
-    simplex basis: it is kept, with no pivot, if _basis_solution finds it
-    optimal for this program, and the simplex solves cold otherwise.  A
-    run of projections, such as the rows of a sweep, thus pays at most one
-    cold solve per change of basis.  An optimal x that misses the
-    probability simplex by more than roundoff raises InaccurateSolution,
-    on either path.
+    basis to simplex.solve, which keeps it with no pivot if it is optimal
+    for this program and solves cold otherwise.  A run of projections,
+    such as the rows of a sweep, thus pays at most one cold solve per
+    change of basis.  An optimal x that misses the probability simplex by
+    more than roundoff raises InaccurateSolution, on either path, and so
+    does a status other than optimal, as the program is feasible and
+    bounded.
     """
     if membership_W(measure):
         return ProjectionResult(distance=0.0, nearest=measure, iterations=0)
@@ -708,13 +707,13 @@ def project_to_W(
     b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ measure.weights])
     c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
     lp = simplex.LinearProgram(c=c, A=A, b=b)
-    sol = None
-    if warm is not None and warm.basis is not None:
-        sol = _basis_solution(lp, warm.basis)
-    if sol is None:
-        sol = simplex.solve(lp)
+    sol = simplex.solve(lp, basis=None if warm is None else warm.basis)
     if sol.status != "optimal":
-        raise PrimalInfeasible(f"projection program returned {sol.status}")
+        # feasible (any stationary measure) and bounded (costs >= 0)
+        raise simplex.InaccurateSolution(
+            f"projection program returned {sol.status} "
+            f"after {sol.iterations} pivots on a {A.shape[0]}x{A.shape[1]} program"
+        )
     gamma = sol.x[:P]
     try:
         nearest = OccupationalMeasure(graph=graph, weights=gamma)
@@ -730,56 +729,3 @@ def project_to_W(
         basis=sol.basis,
     )
 
-
-def _basis_solution(lp: simplex.LinearProgram, cols: np.ndarray) -> simplex.LpSolution | None:
-    """The basic solution of lp on the columns cols of [A | I], with no
-    pivot, if that basis is optimal; None if it is not.
-
-    cols indexes the variables, then the artificials, as
-    simplex.LpSolution.basis does (lp has no free variable).  One solve
-    on the basic columns gives x_B and the transposed one the row duals
-    y.  The basis is kept only if x_B >= -FEAS_TOL on the variables,
-    |x_B| <= FEAS_TOL on the artificials of redundant rows, A x = b within
-    FEAS_TOL (a check on the solve itself) and c - A'y >= -OPT_TOL: then
-    x is primal and y dual feasible with complementary slackness, so x is
-    optimal, and x is clamped at zero as simplex.solve clamps it.  Every
-    test reads the current A, b and c, so a basis taken from another
-    program is kept only if it is optimal here; a singular basis, or one
-    of the wrong shape, is refused.
-    """
-    m, N = lp.A.shape
-    cols = np.asarray(cols)
-    if (
-        cols.shape != (m,)
-        or cols.dtype.kind not in "iu"
-        or cols.min(initial=0) < 0
-        or cols.max(initial=0) >= N + m
-        or len(set(cols.tolist())) < m
-    ):
-        return None
-    B = np.hstack([lp.A, np.eye(m)])[:, cols]
-    try:
-        x_B = np.linalg.solve(B, lp.b)
-        y = np.linalg.solve(B.T, np.concatenate([lp.c, np.zeros(m)])[cols])
-    except np.linalg.LinAlgError:
-        return None
-    art = cols >= N
-    if x_B[~art].min(initial=0.0) < -simplex.FEAS_TOL:
-        return None
-    if np.abs(x_B[art]).max(initial=0.0) > simplex.FEAS_TOL:
-        return None
-    x = np.zeros(N)
-    x[cols[~art]] = x_B[~art]
-    if np.max(np.abs(lp.A @ x - lp.b), initial=0.0) > simplex.FEAS_TOL:
-        return None
-    if (lp.c - lp.A.T @ y).min(initial=0.0) < -simplex.OPT_TOL:
-        return None
-    np.maximum(x, 0.0, out=x)
-    return simplex.LpSolution(
-        status="optimal",
-        objective=float(lp.c @ x),
-        x=x,
-        y=y,
-        iterations=0,
-        basis=cols,
-    )

@@ -1,42 +1,56 @@
-"""Self-contained two-phase primal simplex for standard-form programs.
+"""Self-contained two-phase revised simplex for standard-form programs.
 
 Programs are stated as minimize c'x subject to A x = b with every variable
 nonnegative unless flagged free; free variables are split into positive and
 negative parts internally.  Inequalities must be brought to this form by
 the caller with explicit slack variables.
 
+After the row flips that make b nonnegative, the solver keeps the inverse
+B^-1 (m x m) of a basis of [A | I], the split variables followed by one
+artificial per row, and the basic values x_B.  Each pivot prices y = c_B
+B^-1 and the reduced costs d = c - y [A | I] afresh from the costs, forms
+the entering column B^-1 a_j, and updates B^-1 and x_B by one rank-one
+step, after which x_B is clamped at zero, so a tie taken within tolerance
+cannot leave a basic variable at -1e-11.  The row duals are c_B B^-1 with
+the row flips undone.
+
 Pivoting uses Dantzig's entering rule (most negative reduced cost, lowest
 index on ties) and the lexicographic ratio test (Dantzig, Orden and Wolfe
-1955).  From the first pivot on, ties in the ratio test are broken by the
-lexicographically smallest tied row of B^-1 divided by the pivot column,
-B^-1 being the artificial block of the tableau, and by the lowest row
-among equal ones; only the columns in which the tied rows differ are
-compared.  The rows of [b | B^-1] start lexicographically positive, as
-B_0 = I and b >= 0, and in exact arithmetic each pivot keeps them so.  Each
-pivot then adds a positive multiple of one such row to the objective row's
-entries over [b | B^-1], so those entries, led by the negated objective,
-rise lexicographically: no basis repeats within a phase and the simplex
-cannot cycle, however degenerate the program.  max_iter stays as a guard
-against roundoff.  Tied pivots below 1e-6 of the largest tie only through
-roundoff and are passed over.  After each pivot the right-hand side is
-clamped at zero, so a tie taken within tolerance cannot leave a basic
-variable at -1e-11.  Artificial columns stay in the tableau through phase
-two, blocked from entering; their reduced costs there are the negated row
-duals, which is how the dual vector is reported.
+1955): a tie goes to the lexicographically smallest tied row of B^-1
+divided by the pivot column, the lowest row among equal ones, comparing
+only the columns in which the tied rows differ.  In exact arithmetic,
+from B_0 = I and b >= 0, the rows of [x_B | B^-1] stay lexicographically
+positive and (-c_B x_B, -y) rises at every pivot, so no basis repeats.
+The code passes over tied pivots below 1e-6 of the largest tie, which tie
+only through roundoff, and that breaks the argument: at a degenerate
+vertex every row with x_B = 0 and a positive entry ties exactly, so the
+filter can skip the lexicographic minimum, and a basis may then repeat.
+What the code guarantees is that a tie whose pivots all lie within 1e-6
+of the largest is broken by the lexicographic rule on B^-1 as computed,
+that a solve raises IterationLimit after max_iter pivots instead of
+looping, and that every optimal answer passes the checks below.
 
 Phase 1 starts every row from its artificial, except a row that holds
-both a +e_i and a -e_i column, such as a gap row <f, x> - d+ + d- = t:
-after the row flip that makes b nonnegative, it starts from its lowest
-+e_i column, whose value b_i is feasible.  That column equals the row's
-artificial, so the first basis is still I and the artificial block of
-the tableau still holds B^-1.
+both a +e_i and a -e_i column, such as a gap row <f, x> - d+ + d- = t: it
+starts from its lowest +e_i column, whose value b_i is feasible.  That
+column equals the row's artificial, so B_0 is still I.  Artificials left
+basic at level zero after phase 1 are driven out on a usable entry of
+their row of B^-1 A, and phase 2 bars them from entering.
 
-The tableau is never refactorized, so pivots can leave roundoff in it.
-After phase 2 one matvec checks A x = b.  Only on a miss above FEAS_TOL
-are the basic values re-read from the final basis's columns by one linear
-solve; a singular final basis or a basic value below -FEAS_TOL then
-raises InaccurateSolution, the others are clamped at zero, and the row
-duals stay the tableau's.
+The updates are never refactorized, so they can leave roundoff in B^-1
+and x_B.  After phase 2 one matvec checks A x = b.  Only on a miss above
+FEAS_TOL is the final basis factored afresh, by the _factor that also
+serves the warm start; a singular final basis or a basic value below
+-FEAS_TOL then raises InaccurateSolution, the others are clamped at zero.
+
+solve(lp, basis=cols) offers a basis as LpSolution.basis gives it, m
+distinct column indices of [A | I].  It is kept, with no pivot, only if it
+factors, x_B >= -FEAS_TOL on the variables, |x_B| <= FEAS_TOL on basic
+artificials, A x = b within FEAS_TOL and d >= -OPT_TOL on the variables:
+then x is primal and y dual feasible with complementary slackness, so
+both are optimal.  Every test reads lp's own A, b and c.  Anything else is
+solved cold; the simplex never pivots from an offered basis, as the
+lexicographic argument above starts from B_0 = I.
 """
 
 from __future__ import annotations
@@ -136,9 +150,13 @@ class LpSolution:
     basis: np.ndarray | None = None
 
 
-def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
-    """Run two-phase primal simplex on a standard-form program, breaking
-    ratio-test ties lexicographically."""
+def solve(
+    lp: LinearProgram, max_iter: int | None = None, basis: np.ndarray | None = None
+) -> LpSolution:
+    """Run two-phase revised simplex on a standard-form program, breaking
+    ratio-test ties lexicographically.  An offered basis, indexed as
+    LpSolution.basis is, is kept if it is optimal for lp (see the module
+    docstring); otherwise lp is solved cold."""
     m, n = lp.n_rows, lp.n_vars
 
     # Split free variables into nonnegative parts.
@@ -154,145 +172,129 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     col_sign = np.array(col_sign)
     N = col_orig.size
 
-    # Flip rows so the right-hand side is nonnegative.
+    # Flip rows so the right-hand side is nonnegative.  The columns of
+    # A_ext are the split variables, then the artificials.
     flip = np.where(lp.b < 0.0, -1.0, 1.0)
-    A = (lp.A * flip[:, None])[:, col_orig] * col_sign
+    A_ext = np.hstack([(lp.A * flip[:, None])[:, col_orig] * col_sign, np.eye(m)])
+    A = A_ext[:, :N]
     b = lp.b * flip
-    c = lp.c[col_orig] * col_sign
+    phase2_cost = np.concatenate([lp.c[col_orig] * col_sign, np.zeros(m)])
 
-    # Tableau rows 0..m-1 are constraints, row m is the objective row;
-    # columns are split variables, then artificials, then the rhs.
-    Tb = np.zeros((m + 1, N + m + 1))
-    Tb[:m, :N] = A
-    Tb[:m, N : N + m] = np.eye(m)
-    Tb[:m, -1] = b
+    warm = None if basis is None else _warm_basis(A_ext, b, phase2_cost, N, basis)
+    if warm is not None:
+        basis, Binv, x_B = warm
+        iterations = phase1_iterations = 0
+        phase1_obj = 0.0
+    else:
+        # A row holding a +e_i, -e_i pair starts on its lowest +e_i column,
+        # not its artificial; B_0 stays I (see the module docstring).
+        basis = np.arange(N, N + m)
+        units = np.flatnonzero(np.count_nonzero(A, axis=0) == 1)
+        if units.size:
+            rows = np.argmax(A[:, units] != 0.0, axis=0)
+            vals = A[rows, units]
+            lowest = np.full(m, N)  # N: the row has no +e_i column
+            np.minimum.at(lowest, rows[vals == 1.0], units[vals == 1.0])
+            minus = np.zeros(m, dtype=bool)
+            minus[rows[vals == -1.0]] = True
+            crash = minus & (lowest < N)
+            basis[crash] = lowest[crash]
+        # x_B and B^-1 are views of one array, so one update moves both.
+        xB_Binv = np.hstack([b[:, None], np.eye(m)])
+        x_B, Binv = xB_Binv[:, 0], xB_Binv[:, 1:]
+        iterations = 0
+        if max_iter is None:
+            max_iter = 2000 + 200 * m + 20 * N
 
-    # A row holding a +e_i, -e_i pair starts on its lowest +e_i column,
-    # not its artificial; B_0 stays I (see the module docstring).
-    basis = np.arange(N, N + m)
-    units = np.flatnonzero(np.count_nonzero(A, axis=0) == 1)
-    if units.size:
-        rows = np.argmax(A[:, units] != 0.0, axis=0)
-        vals = A[rows, units]
-        lowest = np.full(m, N)  # N: the row has no +e_i column
-        np.minimum.at(lowest, rows[vals == 1.0], units[vals == 1.0])
-        minus = np.zeros(m, dtype=bool)
-        minus[rows[vals == -1.0]] = True
-        crash = minus & (lowest < N)
-        basis[crash] = lowest[crash]
-    iterations = 0
-    if max_iter is None:
-        max_iter = 2000 + 200 * m + 20 * N
+        def pivot(i: int, j: int, col: np.ndarray) -> None:
+            """Bring column j, whose B^-1 a_j is col, into the basis at row i."""
+            xB_Binv[i] /= col[i]
+            col[i] = 0.0
+            xB_Binv[...] -= np.multiply.outer(col, xB_Binv[i])
+            np.maximum(x_B, 0.0, out=x_B)
+            basis[i] = j
 
-    def install_objective(cost: np.ndarray) -> None:
-        cb = cost[basis]
-        Tb[m, : N + m] = cost - cb @ Tb[:m, : N + m]
-        Tb[m, -1] = -(cb @ Tb[:m, -1])
-
-    # The rank-one update is written into one scratch tableau per solve,
-    # not into a fresh tableau-sized temporary per pivot.
-    update = np.empty_like(Tb)
-
-    def pivot(i: int, j: int) -> None:
-        Tb[i] /= Tb[i, j]
-        col = Tb[:, j].copy()
-        col[i] = 0.0
-        np.multiply.outer(col, Tb[i], out=update)
-        Tb[...] -= update
-        basis[i] = j
-        np.maximum(Tb[:m, -1], 0.0, out=Tb[:m, -1])
-
-    def run_phase(allowed: np.ndarray) -> str:
-        nonlocal iterations
-        while True:
-            zrow = Tb[m, : N + m]
-            candidates = allowed & (zrow < -OPT_TOL)
-            if not candidates.any():
-                return "optimal"
-            j = int(np.argmin(np.where(candidates, zrow, np.inf)))
-            colvals = Tb[:m, j]
-            eligible = colvals > PIVOT_TOL
-            if not eligible.any():
-                return "unbounded"
-            ratios = np.where(eligible, Tb[:m, -1] / np.where(eligible, colvals, 1.0), np.inf)
-            rmin = ratios.min()
-            tied = np.flatnonzero(ratios <= rmin + 1e-12 + 1e-9 * abs(rmin))
-            if tied.size == 1:
-                i = int(tied[0])
-            else:
-                i = _lex_min_row(Tb[:m, N : N + m], tied, colvals)
-            pivot(i, j)
-            iterations += 1
-            if iterations > max_iter:
-                raise IterationLimit(
-                    f"simplex exceeded {max_iter} pivots on a {m}x{N} tableau"
-                )
-
-    # Phase 1: minimize the artificial mass.
-    phase1_cost = np.concatenate([np.zeros(N), np.ones(m)])
-    install_objective(phase1_cost)
-    allowed = np.ones(N + m, dtype=bool)
-    status = run_phase(allowed)
-    if status != "optimal":  # cannot happen: phase 1 is bounded below by zero
-        raise RuntimeError("phase 1 reported unbounded")
-    phase1_obj = -Tb[m, -1]
-    if phase1_obj > FEAS_TOL:
-        return LpSolution(
-            status="infeasible",
-            objective=None,
-            x=None,
-            y=None,
-            iterations=iterations,
-            phase1_objective=phase1_obj,
-            phase1_iterations=iterations,
-        )
-
-    # Drive artificials out of the basis where a usable pivot exists;
-    # rows that offer none (a program with no columns offers none) are
-    # redundant and keep a zero-level artificial.
-    for i in range(m):
-        if basis[i] >= N:
-            entries = np.abs(Tb[i, :N])
-            if entries.max(initial=0.0) > 1e-8:
-                pivot(i, int(np.argmax(entries)))
+        def run_phase(cost: np.ndarray, allowed: np.ndarray) -> str:
+            nonlocal iterations
+            while True:
+                reduced = np.where(allowed, cost - (cost[basis] @ Binv) @ A_ext, np.inf)
+                if not reduced.min(initial=0.0) < -OPT_TOL:
+                    return "optimal"
+                j = int(np.argmin(reduced))
+                col = Binv @ A_ext[:, j]
+                eligible = col > PIVOT_TOL
+                if not eligible.any():
+                    return "unbounded"
+                ratios = np.where(eligible, x_B / np.where(eligible, col, 1.0), np.inf)
+                rmin = ratios.min()
+                tied = np.flatnonzero(ratios <= rmin + 1e-12 + 1e-9 * abs(rmin))
+                if tied.size == 1:
+                    i = int(tied[0])
+                else:
+                    i = _lex_min_row(Binv, tied, col)
+                pivot(i, j, col)
                 iterations += 1
-    phase1_iterations = iterations
+                if iterations > max_iter:
+                    raise IterationLimit(
+                        f"simplex exceeded {max_iter} pivots on a {m}x{N} program"
+                    )
 
-    # Phase 2 on the true objective, artificials barred from entering.
-    phase2_cost = np.concatenate([c, np.zeros(m)])
-    install_objective(phase2_cost)
-    allowed = np.concatenate([np.ones(N, dtype=bool), np.zeros(m, dtype=bool)])
-    status = run_phase(allowed)
-    if status == "unbounded":
-        return LpSolution(
-            status="unbounded",
-            objective=None,
-            x=None,
-            y=None,
-            iterations=iterations,
-            phase1_objective=phase1_obj,
-            phase1_iterations=phase1_iterations,
-        )
+        # Phase 1: minimize the artificial mass.
+        phase1_cost = np.concatenate([np.zeros(N), np.ones(m)])
+        if run_phase(phase1_cost, np.ones(N + m, dtype=bool)) != "optimal":
+            # cannot happen: phase 1 is bounded below by zero
+            raise RuntimeError("phase 1 reported unbounded")
+        phase1_obj = float(phase1_cost[basis] @ x_B)
+        phase1_iterations = iterations
+        if phase1_obj > FEAS_TOL:
+            status = "infeasible"
+        else:
+            # Drive artificials out of the basis where a usable pivot
+            # exists, on row i of B^-1 A; rows that offer none (a program
+            # with no columns offers none) are redundant and keep a
+            # zero-level artificial.
+            for i in range(m):
+                if basis[i] >= N:
+                    entries = np.abs(Binv[i] @ A)
+                    if entries.max(initial=0.0) > 1e-8:
+                        j = int(np.argmax(entries))
+                        pivot(i, j, Binv @ A[:, j])
+                        iterations += 1
+            phase1_iterations = iterations
+            # Phase 2 on the true objective, artificials barred from entering.
+            allowed = np.concatenate([np.ones(N, dtype=bool), np.zeros(m, dtype=bool)])
+            status = run_phase(phase2_cost, allowed)
+        if status != "optimal":
+            return LpSolution(
+                status=status,
+                objective=None,
+                x=None,
+                y=None,
+                iterations=iterations,
+                phase1_objective=phase1_obj,
+                phase1_iterations=phase1_iterations,
+            )
 
-    # Pivots accumulate roundoff in the tableau.  One matvec checks A x = b;
-    # only on a miss are the basic values re-read from the final basis.
+        # Updates accumulate roundoff in B^-1 and x_B.  One matvec checks
+        # A x = b; only on a miss is the final basis factored afresh.
+        if _equality_miss(A_ext, b, N, basis, x_B) > FEAS_TOL:
+            try:
+                Binv, x_B = _factor(A_ext, b, basis)
+            except np.linalg.LinAlgError as exc:
+                # LinAlgError is a ValueError, which the CLI reads as bad input
+                raise InaccurateSolution(f"final basis cannot be re-read: {exc}") from None
+            worst = float(x_B.min(initial=0.0))
+            if worst < -FEAS_TOL:
+                raise InaccurateSolution(
+                    f"final basis is not primal feasible: basic value {worst:.3g}"
+                )
+            np.maximum(x_B, 0.0, out=x_B)
+
     x_ext = np.zeros(N + m)
-    x_ext[basis] = Tb[:m, -1]
-    if np.max(np.abs(A @ x_ext[:N] - b), initial=0.0) > FEAS_TOL:
-        try:
-            x_B = np.linalg.solve(np.hstack([A, np.eye(m)])[:, basis], b)
-        except np.linalg.LinAlgError as exc:
-            # LinAlgError is a ValueError, which the CLI reads as bad input
-            raise InaccurateSolution(f"final basis cannot be re-read: {exc}") from None
-        worst = float(x_B.min(initial=0.0))
-        if worst < -FEAS_TOL:
-            raise InaccurateSolution(f"final basis is not primal feasible: basic value {worst:.3g}")
-        x_ext[basis] = np.maximum(x_B, 0.0)
+    x_ext[basis] = x_B
     x = np.zeros(n)
     np.add.at(x, col_orig, col_sign * x_ext[:N])
-    # Artificial column i began as e_i, so its phase-2 reduced cost is
-    # -y_i; undo the row flips.
-    y = -Tb[m, N : N + m] * flip
+    y = (phase2_cost[basis] @ Binv) * flip
     return LpSolution(
         status="optimal",
         objective=float(lp.c @ x),
@@ -303,6 +305,49 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         phase1_iterations=phase1_iterations,
         basis=basis.copy(),
     )
+
+
+def _factor(A_ext: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B^-1 and the basic values B^-1 b of the basis on the columns cols of
+    A_ext; a singular basis raises np.linalg.LinAlgError."""
+    Binv = np.linalg.inv(A_ext[:, cols])
+    return Binv, Binv @ b
+
+
+def _equality_miss(A_ext: np.ndarray, b: np.ndarray, N: int, cols: np.ndarray, x_B) -> float:
+    """Largest |A x - b| of the basic solution x_B on cols, artificials left out."""
+    keep = cols < N
+    return float(np.abs(A_ext[:, cols[keep]] @ x_B[keep] - b).max(initial=0.0))
+
+
+def _warm_basis(
+    A_ext: np.ndarray, b: np.ndarray, cost: np.ndarray, N: int, cols
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(cols, B^-1, x_B) if the offered basis cols passes the warm-start
+    checks of the module docstring, x_B clamped at zero; None if not."""
+    m = b.size
+    cols = np.asarray(cols)
+    if (
+        cols.shape != (m,)
+        or cols.dtype.kind not in "iu"
+        or cols.min(initial=0) < 0
+        or cols.max(initial=0) >= N + m
+        or len(set(cols.tolist())) < m
+    ):
+        return None
+    try:
+        Binv, x_B = _factor(A_ext, b, cols)
+    except np.linalg.LinAlgError:
+        return None
+    art = cols >= N
+    if x_B[~art].min(initial=0.0) < -FEAS_TOL or np.abs(x_B[art]).max(initial=0.0) > FEAS_TOL:
+        return None
+    if _equality_miss(A_ext, b, N, cols, x_B) > FEAS_TOL:
+        return None
+    reduced = cost[:N] - (cost[cols] @ Binv) @ A_ext[:, :N]
+    if reduced.min(initial=0.0) < -OPT_TOL:
+        return None
+    return cols.astype(int), Binv, np.maximum(x_B, 0.0)
 
 
 def _lex_min_row(Binv: np.ndarray, tied: np.ndarray, colvals: np.ndarray) -> int:

@@ -527,6 +527,32 @@ class TestExitCodes:
             "simplex exceeded 10 pivots on a 3x4 tableau\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, program",
+        [
+            (["verify", "--problem", "toy", "--y0", "15"], "measure program for y0=15, theta=0.0"),
+            (
+                ["sweep", "--problem", "toy", "--y0", "0", "--sweep", "T", "--values", "16"],
+                "projection program",
+            ),
+        ],
+    )
+    def test_impossible_status_is_a_solver_failure(self, capsys, monkeypatch, argv, program):
+        # both programs are feasible and bounded by construction, so any
+        # other status is the solver's failure, named with its pivots and shape
+        def unbounded(lp, *args, **kwargs):
+            return lrac.simplex.LpSolution(
+                status="unbounded", objective=None, x=None, y=None, iterations=7
+            )
+
+        monkeypatch.setattr(lrac.simplex, "solve", unbounded)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"solver failed: InaccurateSolution: {program} returned unbounded after 7 pivots on a "
+        ), captured.err
+
     def test_table_too_large_exits_three(self, capsys, monkeypatch):
         # `solve --T 99999999999` asks for a 1e11-row table; the stand-in
         # raises what numpy raises there without allocating anything
@@ -601,9 +627,10 @@ class TestSimplexCalls:
     verify solves the theta = 0 measure program once, as its independent
     cross-check; every k*(theta), theta = 0 included, comes off the cycle
     recursion.  A sweep's only LPs are its projections onto W, and each
-    row's projection first tries the last row's optimal basis, so a sweep
-    solves cold once per change of basis.  A second tableau for any of
-    them shows up here as an extra simplex call."""
+    row's projection offers simplex.solve the last row's optimal basis, so
+    a sweep solves cold once per change of basis.  Only cold solves are
+    counted: those offered no basis, or that took a pivot.  A second
+    program for any of them shows up here as an extra cold solve."""
 
     @pytest.mark.parametrize(
         "argv, calls",
@@ -662,8 +689,11 @@ class TestSimplexCalls:
         seen = []
 
         def counting(lp, *args, **kwargs):
-            seen.append(lp.A.shape)
-            return real(lp, *args, **kwargs)
+            sol = real(lp, *args, **kwargs)
+            # a row whose offered basis is kept is not a cold solve
+            if kwargs.get("basis") is None or sol.iterations:
+                seen.append(lp.A.shape)
+            return sol
 
         monkeypatch.setattr(lrac.simplex, "solve", counting)
         code, _ = _run(capsys, argv)
@@ -949,6 +979,50 @@ class TestProjectionSweeps:
                 m = occupational_measure(policy_trajectory(graph, 40, int(row[0])))
             else:
                 m = lrac.cli._discounted_measure(graph, 40, float(row[0]))[1]
+            assert abs(float(row[3]) - box_distance(m, basis)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "seed, perm_seed, draws, y0, sweep, values",
+        [
+            (2, 102, (80, 80, 80), 40, "T", "16"),
+            (2, 102, (80, 80, 80), 79, "T", "3"),
+            (2, 102, (80, 80, 80), 1, "alpha", "0.9,0.99"),
+            (0, 0, (21, 3, *[10] * 4, *[20] * 4, *[40] * 4, 80), 71, "alpha", "0.9"),
+        ],
+    )
+    def test_relabelled_n80_sweeps_match_highs(
+        self, capsys, tmp_path, seed, perm_seed, draws, y0, sweep, values
+    ):
+        # random n = 80 with its states relabelled: new state i is old
+        # state perm[i], perm the last of the permutations that
+        # default_rng(perm_seed) draws for the sizes in draws.  The first
+        # three ended in InaccurateSolution (a negative re-read basic
+        # value), the last in IterationLimit, while reduced costs carried
+        # the roundoff of every earlier pivot
+        rng = np.random.default_rng(perm_seed)
+        perm = [rng.permutation(size) for size in draws][-1]
+        old = random_problem(80, 3, seed)
+        succ = old.successor[perm]
+        problem = dataclasses.replace(
+            old,
+            states=old.states[perm],
+            successor=np.where(succ >= 0, np.argsort(perm)[np.maximum(succ, 0)], -1),
+            cost=old.cost[perm],
+        )
+        path = tmp_path / "relabelled.json"
+        save_problem(problem, str(path))
+        argv = ["sweep", "--problem", str(path), "--y0", str(y0), "--sweep", sweep]
+        code, out = _run(capsys, [*argv, "--values", values])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == len(values.split(","))
+        graph = build_graph(problem)
+        basis = chebyshev_basis(graph)
+        for row in rows:
+            if sweep == "T":
+                m = occupational_measure(policy_trajectory(graph, y0, int(row[0])))
+            else:
+                m = lrac.cli._discounted_measure(graph, y0, float(row[0]))[1]
             assert abs(float(row[3]) - box_distance(m, basis)) <= 1e-9
 
     def test_drift_is_a_solver_failure(self, capsys):

@@ -945,18 +945,19 @@ class TestProjection:
             assert np.array_equal(res.basis, cold.basis)
 
     def test_warm_drift_is_a_solver_failure(self, toy_graph, monkeypatch):
-        real = lrac.programs._basis_solution
+        real = simplex._warm_basis
+        P = toy_graph.n_pairs
 
-        def drift(lp, cols):
-            sol = real(lp, cols)
-            sol.x[0] += 1e-6
-            return sol
+        def drift(A_ext, b, cost, N, cols):
+            cols, Binv, x_B = real(A_ext, b, cost, N, cols)
+            x_B[np.flatnonzero(cols < P)[0]] += 1e-6  # a basic gamma weight
+            return cols, Binv, x_B
 
         basis = chebyshev_basis(toy_graph)
         first, second = (_discounted_measure(toy_graph, 15, a)[1] for a in (0.9, 0.99))
         warm = project_to_W(first, basis)
         assert project_to_W(second, basis, warm=warm).iterations == 0
-        monkeypatch.setattr(lrac.programs, "_basis_solution", drift)
+        monkeypatch.setattr(simplex, "_warm_basis", drift)
         with pytest.raises(InaccurateSolution, match="1e-06"):
             project_to_W(second, basis, warm=warm)
 

@@ -415,74 +415,136 @@ class TestGapRowCrash:
         assert 0 < res.iterations < 188, res.iterations
 
 
-# The one projection found, over random n = 10 to 160 from several starts,
-# that still misses A x = b through tableau roundoff once the gap rows
-# start on their slacks: the T = 4 measure of random n = 120, seed 6, y0 = 0.
+# The one single-row sweep found, over random n = 20 to 120, seeds 0-7,
+# y0 = 0 and n/2, T = 4, 16 and alpha = 0.9, 0.99, whose projection still
+# misses A x = b through roundoff in the updated B^-1 and x_B: the T = 4
+# measure of random n = 120, seed 1, y0 = 0.
 _REREAD_SWEEP = [
-    "sweep", "--problem", "random", "--states", "120", "--seed", "6",
+    "sweep", "--problem", "random", "--states", "120", "--seed", "1",
     "--y0", "0", "--sweep", "T", "--values", "4",
 ]
 
 
 @pytest.fixture
-def reread_lp():
+def reread_lp(monkeypatch):
     """A program whose final basis is re-read, checked to be so here, so the
     tests below cannot lose their trigger silently.  Its right-hand side is
-    of order 1e8, where relative roundoff of 1e-16 in the tableau misses
-    A x = b by more than FEAS_TOL."""
+    of order 1e8, where relative roundoff of 1e-16 in the updated x_B
+    misses A x = b by more than FEAS_TOL."""
     rng = np.random.default_rng(0)
     A = rng.normal(size=(6, 14))
     x0 = rng.uniform(0.0, 2.0, size=14)
     lp = LinearProgram(c=rng.uniform(0.0, 1.0, size=14), A=A, b=1e8 * (A @ x0))
-    real, calls = np.linalg.solve, []
+    real, calls = simplex._factor, []
 
-    def counting(B, rhs):
-        calls.append(B.shape)
-        return real(B, rhs)
+    def counting(A_ext, b, cols):
+        calls.append(cols.shape)
+        return real(A_ext, b, cols)
 
-    np.linalg.solve = counting
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_factor", counting)
         assert solve(lp).status == "optimal"
-    finally:
-        np.linalg.solve = real
-    assert calls == [(6, 6)], "the fixture no longer re-reads its final basis"
+    assert calls == [(6,)], "the fixture no longer re-reads its final basis"
     return lp
 
 
 class TestFinalBasisReread:
     def test_negative_basic_value_is_a_solver_failure(self, reread_lp, monkeypatch):
         # one read below -FEAS_TOL must not be clamped away
-        real = np.linalg.solve
+        real = simplex._factor
 
-        def low(B, rhs):
-            x = real(B, rhs)
-            x[0] = -1e-6
-            return x
+        def low(A_ext, b, cols):
+            Binv, x_B = real(A_ext, b, cols)
+            x_B[0] = -1e-6
+            return Binv, x_B
 
-        monkeypatch.setattr(np.linalg, "solve", low)
+        monkeypatch.setattr(simplex, "_factor", low)
         with pytest.raises(InaccurateSolution, match="final basis is not primal feasible"):
             solve(reread_lp)
 
     def test_singular_basis_is_a_solver_failure(self, reread_lp, monkeypatch):
         # LinAlgError is a ValueError, which the CLI would report as a usage error
-        def singular(B, rhs):
+        def singular(A_ext, b, cols):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(simplex, "_factor", singular)
         with pytest.raises(InaccurateSolution, match="Singular matrix"):
             solve(reread_lp)
 
     def test_singular_basis_exits_3(self, monkeypatch, capsys):
         calls = []
 
-        def singular(B, rhs):
-            calls.append(B.shape)
+        def singular(A_ext, b, cols):
+            calls.append(cols.shape)
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(simplex, "_factor", singular)
         code = main(_REREAD_SWEEP)
         captured = capsys.readouterr()
         assert calls, "the sweep's projection no longer re-reads its final basis"
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("solver failed: InaccurateSolution: ")
+
+
+class TestWarmStart:
+    """solve(lp, basis=...) keeps an offered basis, with no pivot, only if
+    it is optimal for lp; anything else is solved cold."""
+
+    # min -x1 - 2 x2 s.t. x1 + s1 = 1, x2 + s2 = 1: columns x1, x2, s1, s2,
+    # then the artificials 4 and 5; the optimal basis is {x1, x2}
+    BOX = LinearProgram(
+        c=np.array([-1.0, -2.0, 0.0, 0.0]),
+        A=np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]),
+        b=np.ones(2),
+    )
+
+    def test_own_final_basis_is_kept(self):
+        rng = np.random.default_rng(42)
+        lps = [(lp, 1e-12) for lp in [self.BOX, *(_random_bounded_lp(rng) for _ in range(30))]]
+        # the cold y of toy's projection carries the roundoff of its 150-odd
+        # updates of B^-1, 1.9e-12 here
+        graph = build_graph(toy_problem())
+        measure = occupational_measure(policy_trajectory(graph, 0, 16))
+        lps.append((_projection_lp(graph, measure.weights, chebyshev_basis(graph)), 1e-11))
+        for lp, y_tol in lps:
+            cold = solve(lp)
+            warm = solve(lp, basis=cold.basis)
+            assert warm.status == "optimal" and warm.iterations == 0
+            assert np.array_equal(warm.basis, cold.basis)
+            assert np.abs(warm.x - cold.x).max() <= 1e-12
+            assert np.abs(warm.y - cold.y).max() <= y_tol
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            np.array([0]),  # wrong shape
+            np.array([0, 1, 2]),
+            np.array([0, 6]),  # out of range
+            np.array([-1, 0]),
+            np.array([0.0, 1.0]),  # not integers
+            np.array([1, 1]),  # repeated
+            np.array([0, 2]),  # x1 and s1 are both e_0: singular
+            np.array([4, 5]),  # artificials at level 1
+            np.array([2, 3]),  # feasible (x = 0), not optimal
+        ],
+    )
+    def test_refused_basis_solves_cold(self, basis):
+        cold = solve(self.BOX)
+        sol = solve(self.BOX, basis=basis)
+        assert sol.iterations == cold.iterations > 0
+        assert np.array_equal(sol.x, cold.x) and np.array_equal(sol.y, cold.y)
+        assert np.array_equal(sol.basis, cold.basis)
+
+    def test_dual_feasible_primal_infeasible_basis_solves_cold(self):
+        # min x1 + x2 s.t. x1 - 2 x2 = t: {x1} is optimal at t = 1; at t = -1
+        # it stays dual feasible but reads x1 = -1
+        A, c = np.array([[1.0, -2.0]]), np.array([1.0, 1.0])
+        other = solve(LinearProgram(c=c, A=A, b=np.array([1.0])))
+        assert other.basis.tolist() == [0]
+        lp = LinearProgram(c=c, A=A, b=np.array([-1.0]))
+        cold = solve(lp)
+        sol = solve(lp, basis=other.basis)
+        assert sol.iterations == cold.iterations > 0
+        assert np.array_equal(sol.x, cold.x) and sol.objective == cold.objective == 0.5

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -310,6 +311,14 @@ def problem_to_dict(problem: ControlProblem) -> dict:
     }
 
 
+def _finite_float(c: int | float) -> bool:
+    """Whether c is a finite float, or an integer that converts to one."""
+    try:
+        return math.isfinite(float(c))
+    except OverflowError:
+        return False
+
+
 def problem_from_dict(data: dict) -> ControlProblem:
     """Validate a plain dict against the schema and build the problem."""
     if not isinstance(data, dict):
@@ -325,7 +334,8 @@ def problem_from_dict(data: dict) -> ControlProblem:
         raise ProblemFormatError("states must be a nonempty list of coordinate lists")
     try:
         states = np.asarray(states_raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer too large for a float
         raise ProblemFormatError(f"states are not numeric: {exc}") from None
     if states.ndim == 1:
         states = states[:, None]
@@ -362,7 +372,7 @@ def problem_from_dict(data: dict) -> ControlProblem:
                 f"transitions[{pos}]: duplicate pair (state {y}, action {u})"
             )
         c = rec["cost"]
-        if not isinstance(c, (int, float)) or isinstance(c, bool) or not np.isfinite(c):
+        if not isinstance(c, (int, float)) or isinstance(c, bool) or not _finite_float(c):
             raise ProblemFormatError(f"transitions[{pos}]: cost must be a finite number")
         succ[y, u] = z
         cost[y, u] = float(c)

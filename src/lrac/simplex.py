@@ -1,12 +1,12 @@
 """Self-contained two-phase revised simplex for standard-form programs.
 
 Programs are stated as minimize c'x subject to A x = b with every variable
-nonnegative unless flagged free; free variables are split into positive and
-negative parts internally.  Inequalities must be brought to this form by
-the caller with explicit slack variables.
+nonnegative.  The caller brings inequalities to this form with explicit
+slack variables, and states a free quantity as the difference of two
+nonnegative variables.
 
 After the row flips that make b nonnegative, the solver keeps the inverse
-B^-1 (m x m) of a basis of [A | I], the split variables followed by one
+B^-1 (m x m) of a basis of [A | I], the variables followed by one
 artificial per row, and the basic values x_B.  Each pivot prices y = c_B
 B^-1 and the reduced costs d = c - y [A | I] afresh from the costs, forms
 the entering column B^-1 a_j, and updates B^-1 and x_B by one rank-one
@@ -86,15 +86,11 @@ class InaccurateSolution(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """minimize c'x  s.t.  A x = b,  x >= 0 except where free.
-
-    free is a boolean mask (None means all nonnegative).
-    """
+    """minimize c'x  s.t.  A x = b,  x >= 0."""
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    free: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -105,12 +101,6 @@ class LinearProgram:
             raise ValueError(
                 f"inconsistent shapes: A is {m}x{n}, c has {self.c.shape}, b has {self.b.shape}"
             )
-        if self.free is None:
-            self.free = np.zeros(n, dtype=bool)
-        else:
-            self.free = np.asarray(self.free, dtype=bool)
-            if self.free.shape != (n,):
-                raise ValueError("free mask length must match variable count")
         if not (
             np.all(np.isfinite(self.c))
             and np.all(np.isfinite(self.A))
@@ -126,6 +116,12 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.A.shape[1]
 
+    @property
+    def free(self) -> np.ndarray:
+        """All False: no variable is free.  Kept only because
+        perfbench/tracer.py counts columns as n_vars + free.sum()."""
+        return np.zeros(self.n_vars, dtype=bool)
+
 
 @dataclass
 class LpSolution:
@@ -136,8 +132,7 @@ class LpSolution:
     iterations counts every pivot; phase1_iterations those of phase 1 and
     the drive-out of artificials.
     basis holds the final basic columns, one per row, indexed over the
-    split variables and then the artificials; it too is None unless
-    optimal.
+    variables, then the artificials; it too is None unless optimal.
     """
 
     status: str
@@ -157,28 +152,15 @@ def solve(
     ratio-test ties lexicographically.  An offered basis, indexed as
     LpSolution.basis is, is kept if it is optimal for lp (see the module
     docstring); otherwise lp is solved cold."""
-    m, n = lp.n_rows, lp.n_vars
-
-    # Split free variables into nonnegative parts.
-    col_orig = []
-    col_sign = []
-    for j in range(n):
-        col_orig.append(j)
-        col_sign.append(1.0)
-        if lp.free[j]:
-            col_orig.append(j)
-            col_sign.append(-1.0)
-    col_orig = np.array(col_orig, dtype=int)
-    col_sign = np.array(col_sign)
-    N = col_orig.size
+    m, N = lp.n_rows, lp.n_vars
 
     # Flip rows so the right-hand side is nonnegative.  The columns of
-    # A_ext are the split variables, then the artificials.
+    # A_ext are the variables, then the artificials.
     flip = np.where(lp.b < 0.0, -1.0, 1.0)
-    A_ext = np.hstack([(lp.A * flip[:, None])[:, col_orig] * col_sign, np.eye(m)])
+    A_ext = np.hstack([lp.A * flip[:, None], np.eye(m)])
     A = A_ext[:, :N]
     b = lp.b * flip
-    phase2_cost = np.concatenate([lp.c[col_orig] * col_sign, np.zeros(m)])
+    phase2_cost = np.concatenate([lp.c, np.zeros(m)])
 
     warm = None if basis is None else _warm_basis(A_ext, b, phase2_cost, N, basis)
     if warm is not None:
@@ -292,8 +274,7 @@ def solve(
 
     x_ext = np.zeros(N + m)
     x_ext[basis] = x_B
-    x = np.zeros(n)
-    np.add.at(x, col_orig, col_sign * x_ext[:N])
+    x = x_ext[:N]
     y = (phase2_cost[basis] @ Binv) * flip
     return LpSolution(
         status="optimal",
@@ -370,8 +351,8 @@ def _lex_min_row(Binv: np.ndarray, tied: np.ndarray, colvals: np.ndarray) -> int
 def kkt_residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
     """Optimality residuals of an optimal solution.
 
-    Keys: primal (equality and sign violations), dual (sign and free-variable
-    equality violations of c - A'y), slack (complementary slackness) and gap
+    Keys: primal (equality and sign violations of x), dual (sign violations
+    of the reduced costs c - A'y), slack (complementary slackness) and gap
     (objective mismatch c'x vs b'y).  All should sit at roundoff level for a
     correct optimal pair.
     """
@@ -379,14 +360,9 @@ def kkt_residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
         raise ValueError("kkt_residuals needs an optimal solution")
     x, y = sol.x, sol.y
     r_eq = float(np.max(np.abs(lp.A @ x - lp.b))) if lp.n_rows else 0.0
-    nonneg = ~lp.free
-    r_sign = float(max(0.0, -np.min(x[nonneg]))) if nonneg.any() else 0.0
+    r_sign = max(0.0, -float(x.min(initial=0.0)))
     rc = lp.c - lp.A.T @ y
-    r_dual = 0.0
-    if nonneg.any():
-        r_dual = max(r_dual, float(max(0.0, -np.min(rc[nonneg]))))
-    if lp.free.any():
-        r_dual = max(r_dual, float(np.max(np.abs(rc[lp.free]))))
+    r_dual = max(0.0, -float(rc.min(initial=0.0)))
     r_slack = float(np.max(np.abs(x * rc))) if x.size else 0.0
     r_gap = float(abs(lp.c @ x - lp.b @ y))
     return {

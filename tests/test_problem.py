@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from lrac.cli import main
 from lrac.dp import _horizon_table
 from lrac.problem import _closed_subgraph
 from lrac.programs import reachable_states
@@ -379,6 +380,31 @@ class TestJsonSchema:
         }
         with pytest.raises(ProblemFormatError):
             problem_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("cost", "transitions[0]: cost must be a finite number"),
+            ("state", "states are not numeric: int too large to convert to float"),
+        ],
+    )
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, where, message):
+        # a 400-digit integer literal parses as a Python int, unlike 1e400,
+        # which parses as inf; it must be rejected in one line, exit 2
+        big = "9" * 400
+        cost = big if where == "cost" else "0"
+        state = big if where == "state" else "0"
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"name": "x", "states": [[%s], [1]], "actions": ["a"], "transitions": ['
+            '{"state": 0, "action": 0, "next": 1, "cost": %s}, '
+            '{"state": 1, "action": 0, "next": 0, "cost": 0}]}' % (state, cost)
+        )
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+        assert main(["solve", "--problem", str(path), "--y0", "0"]) == 2
+        assert capsys.readouterr().err == f"problem input rejected: {path}: {message}\n"
 
     def test_duplicate_pair_rejected(self):
         doc = {

@@ -58,16 +58,17 @@ class TestHandFixtures:
         _assert_kkt(lp, sol)
 
     def test_free_variable_goes_negative(self):
-        # min x with x free and x = -3 forced
+        # min x with x = -3 forced, x split as x+ - x- with both parts
+        # nonnegative; the row is flipped, and the optimum sits on x-
         lp = LinearProgram(
-            c=np.array([1.0]),
-            A=np.array([[1.0]]),
+            c=np.array([1.0, -1.0]),
+            A=np.array([[1.0, -1.0]]),
             b=np.array([-3.0]),
-            free=np.array([True]),
         )
         sol = solve(lp)
         assert sol.status == "optimal"
-        assert sol.x.tolist() == [-3.0]
+        assert sol.x.tolist() == [0.0, 3.0]
+        assert sol.objective == -3.0
         _assert_kkt(lp, sol)
 
     def test_redundant_rows_tolerated(self):
@@ -178,15 +179,6 @@ class TestStatuses:
     def test_unbounded_ray(self):
         lp = LinearProgram(
             c=np.array([0.0, -1.0]), A=np.array([[1.0, 0.0]]), b=np.array([1.0])
-        )
-        assert solve(lp).status == "unbounded"
-
-    def test_unbounded_free_variable(self):
-        lp = LinearProgram(
-            c=np.array([1.0, 0.0]),
-            A=np.array([[0.0, 1.0]]),
-            b=np.array([1.0]),
-            free=np.array([True, False]),
         )
         assert solve(lp).status == "unbounded"
 

@@ -25,17 +25,21 @@ that search reached, as its independent cross-check; a sweep's only LPs
 are its projections onto W.  Each row's projection offers simplex.solve
 the last row's optimal basis, kept with no pivot while it stays optimal,
 so a sweep runs at most one cold solve per change of basis.  Every
-command's first use of y0 is that search, which
-rejects a y0 outside [0, n).
-Every V_T a command prints is read off one dp._horizon_table, run up to
-its largest horizon over the states reachable from y0 alone (the
-sub-graph of problem._closed_subgraph, whose rows are the full graph's
-there): solve's chain, verify's horizon row and the rows of sweep
---sweep T, which also reads each horizon's optimal trajectory off that
-table with dp._horizon_walk, T steps from y0, and maps its pairs back to
-the whole graph.  Each horizon is checked by dp._check_horizon before the
-table is built.  Every k*(theta) runs its cycle recursion on the same
-sub-graph, which each command builds once, after its one search.
+command's first use of y0 is that search, which rejects a y0 outside
+[0, n).
+Every per-start layer runs on one sub-graph, that of the states the
+search reached (problem._closed_subgraph, whose rows are the full
+graph's there), built once per command right after it: by v_per in solve
+and verify, whose Karp table and certificate come from it, by sweep
+itself.  On it run every k*(theta), the discounted values with their
+greedy policy's run, and the one dp._horizon_table per command, up to
+its largest horizon, that every V_T is read off (solve's chain, verify's
+horizon row, the rows of sweep --sweep T), each horizon first checked by
+dp._check_horizon.  sweep --sweep T reads each horizon's optimal
+trajectory off that table with dp._horizon_walk; that path and the
+greedy run map their pairs back to the whole graph.  Whole-graph
+questions stay whole-graph: k_membership, distance_to_W, and the
+measures, certificate and feedback a command prints.
 --out sends any command's report to a file instead of stdout, byte for
 byte what stdout would have shown.
 
@@ -166,19 +170,23 @@ def _horizon_table_upto(graph, horizons) -> np.ndarray:
     return _horizon_table(graph, max(horizons, default=0))
 
 
-def _discounted_measure(graph, y0: int, alpha: float):
-    """h_alpha, and the discounted measure of its greedy policy's run from y0."""
-    vf = value_iteration_discounted(graph, alpha)
+def _discounted_measure(graph, y0: int, reached, alpha: float):
+    """h_alpha(y0), and the discounted measure on graph of its greedy run
+    from y0, both computed on reached, the (sub, states, pairs) of
+    _closed_subgraph for the states reachable from y0."""
+    sub, states, pairs = reached
+    start = int(np.searchsorted(states, y0))
+    vf = value_iteration_discounted(sub, alpha)
     # The run's prefix is under n steps and its period at most n, and
     # detect_cycle needs two full periods after the prefix: 3n + 8 covers that.
-    traj = rollout(graph, y0, greedy_policy(graph, vf), 3 * graph.n_states + 8)
-    return vf, discounted_occupational_measure(traj, alpha)
+    traj = rollout(sub, start, greedy_policy(sub, vf), 3 * sub.n_states + 8)
+    traj = Trajectory.from_pairs(graph, pairs[traj.pairs])
+    return vf(start), discounted_occupational_measure(traj, alpha)
 
 
-def _chain(graph, y0: int, cycle, reached, horizons) -> list[tuple[int, float, float, float]]:
+def _chain(graph, y0: int, cycle, horizons) -> list[tuple[int, float, float, float]]:
     """(T, lower, V_T, upper) bracket rows, one per horizon, from the v_per
-    result cycle and reached, _closed_subgraph's result for its reachable
-    states.
+    result cycle.
 
     lower = d* - S_eta/T is the link its certificate proves, with S_eta
     the largest rise of eta from y0 to a reachable state; V_T is read off
@@ -187,14 +195,14 @@ def _chain(graph, y0: int, cycle, reached, horizons) -> list[tuple[int, float, f
     on the same states.
     """
     cert = cycle.cert
-    eta_span = float(np.max(cert.eta[cycle.reach]) - cert.eta[y0])
-    sub, states, _ = reached
+    sub, states, _ = cycle.reached
+    eta_span = float(np.max(cert.eta[states]) - cert.eta[y0])
     S = _horizon_table_upto(sub, horizons)
     start = int(np.searchsorted(states, y0))
     rows = []
     for T in horizons:
         vT = float(S[T, start] / T)
-        upper = _k_star_reached(graph, reached, cycle.dist, 2.0 * graph.cost_bound / T).value
+        upper = _k_star_reached(graph, cycle.reached, cycle.dist, 2.0 * graph.cost_bound / T).value
         rows.append((T, cert.mu - eta_span / T, vT, upper))
     return rows
 
@@ -230,7 +238,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     theta_list = _parse_floats(args.theta)
 
     cycle = v_per(graph, y0)
-    reached = _closed_subgraph(graph, y0, cycle.reach)
+    sub, states, _ = cycle.reached
+    start = int(np.searchsorted(states, y0))
     cert = cycle.cert
     k_star, residuals, gap = _optimality_residuals(graph, y0, cycle)
     feedback = extract_feedback(graph, cert.eta)
@@ -243,7 +252,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "lower_ok": lower <= vT + 1e-7,
             "upper_ok": vT <= upper + 1e-7,
         }
-        for T, lower, vT, upper in _chain(graph, y0, cycle, reached, sorted(set(T_list)))
+        for T, lower, vT, upper in _chain(graph, y0, cycle, sorted(set(T_list)))
     ]
     result = {
         "problem": problem.name,
@@ -254,12 +263,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "y0_state": [float(c) for c in problem.states[y0]],
         "V_T": {str(r["T"]): r["V_T"] for r in chain},
         "h_alpha": {
-            str(a): value_iteration_discounted(graph, a)(y0)
+            str(a): value_iteration_discounted(sub, a)(start)
             for a in sorted(set(alpha_list))
         },
         "k_star": k_star,
         "k_star_theta": {
-            str(t): _k_star_reached(graph, reached, cycle.dist, t).value
+            str(t): _k_star_reached(graph, cycle.reached, cycle.dist, t).value
             for t in sorted(set(theta_list))
         },
         "d_star": cert.mu,
@@ -288,8 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     graph = build_graph(problem)
     y0 = args.y0
     reach, hops, _ = reachable_states(graph, y0)
-    reached = _closed_subgraph(graph, y0, reach)
-    sub, states, pairs = reached
+    sub, states, pairs = reached = _closed_subgraph(graph, y0, reach)
     d_star = _k_star_reached(graph, reached, hops, 0.0).value
     # The test-function basis is built the first time a row's measure is
     # off W, and only then: theta rows are cycle measures, and many alpha
@@ -319,9 +327,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append([float(T), value, value - d_star, dist])
     elif args.sweep == "alpha":
         for alpha in sorted(set(_parse_floats(args.values))):
-            vf, m = _discounted_measure(graph, y0, alpha)
+            h, m = _discounted_measure(graph, y0, reached, alpha)
             dist = distance_to_W(m)
-            rows.append([alpha, vf(y0), vf(y0) - d_star, dist])
+            rows.append([alpha, h, h - d_star, dist])
     else:
         for theta in sorted(set(_parse_floats(args.values))):
             res = _k_star_reached(graph, reached, hops, theta)
@@ -351,8 +359,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scale = 1.0 + graph.cost_bound
 
     cycle = v_per(graph, y0)
-    reached = _closed_subgraph(graph, y0, cycle.reach)
-    primal = _solve_primal_reached(graph, y0, reached, 0.0)
+    primal = _solve_primal_reached(graph, y0, cycle.reached, 0.0)
     cert = primal.cert
     q = primal.as_q_form()
     spread = max(
@@ -366,7 +373,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     ok = True
     detail = []
-    for T, lower, vT, upper in _chain(graph, y0, cycle, reached, (10, 100)):
+    for T, lower, vT, upper in _chain(graph, y0, cycle, (10, 100)):
         ok = ok and (lower - 1e-7 <= vT <= upper + 1e-7)
         detail.append(f"T={T}: {lower:.6g} <= {vT:.6g} <= {upper:.6g}")
     results.append(("horizon bracketing", ok, "; ".join(detail)))
@@ -388,7 +395,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
 
     alpha = 0.9
-    _, m = _discounted_measure(graph, y0, alpha)
+    _, m = _discounted_measure(graph, y0, cycle.reached, alpha)
     res_d = discounted_residual(m, alpha, y0)
     results.append(
         (

@@ -387,12 +387,14 @@ def load_problem(path: str) -> ControlProblem:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from None
     except OSError as exc:
         raise ProblemFormatError(f"{path}: cannot read ({exc.strerror or exc})") from None
     except UnicodeDecodeError as exc:
         raise ProblemFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    except ValueError as exc:
+        # json.JSONDecodeError, or an integer literal past Python's
+        # int-string digit limit
+        raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from None
     try:
         return problem_from_dict(data)
     except ProblemFormatError as exc:

@@ -205,12 +205,14 @@ class ErgodicInnerResult:
 class VPerResult:
     """The minimum mean cycle reachable from y0 as a periodic process, the
     optimal certificate read off the same recursion, and the breadth-first
-    search behind both: reach and dist as reachable_states returns them."""
+    search behind both: dist as reachable_states returns it, and reached,
+    problem._closed_subgraph's (sub, states, pairs) for the states it
+    reached, the one sub-graph every per-start layer runs on."""
 
     value: float
     process: PeriodicProcess
     cert: DualCertificate
-    reach: np.ndarray
+    reached: tuple[Graph, np.ndarray, np.ndarray]
     dist: np.ndarray
 
     def to_dict(self) -> dict:
@@ -450,31 +452,29 @@ def reachable_states(graph: Graph, y0: int) -> tuple[np.ndarray, np.ndarray, np.
     return np.flatnonzero(dist >= 0), dist, np.array(pred_pair)
 
 
-def _min_mean_cycle(graph: Graph, states: np.ndarray) -> tuple[list[int], float, np.ndarray]:
-    """An optimal cycle among a closed set of states, its exact mean, and
-    the (N + 1, n_states) table S of the recursion below, over every state.
+def _min_mean_cycle(graph: Graph) -> tuple[list[int], float, np.ndarray]:
+    """An optimal cycle of graph, its exact mean, and the (N + 1, N) table
+    S of the recursion below, N the number of states.
 
     Karp's (1978) table on the reversed graph, from a source at every
     state, is dp's finite-horizon recursion: row k holds S_k(v), the
-    cheapest k-step walk from v.  Walks from the N given states stay among
-    them, so the full-graph rows are exact there, finite by viability, and
-    Karp's theorem gives the optimal mean lam as the minimum over given v
-    of max_{0 <= k < N} (S_N(v) - S_k(v)) / (N - k).
+    cheapest k-step walk from v, finite by viability.  Karp's theorem gives
+    the optimal mean lam as the minimum over v of
+    max_{0 <= k < N} (S_N(v) - S_k(v)) / (N - k).
 
     The cycle is cut from dp._horizon_walk's N steps from the minimizing
     v, along the lowest argmin pairs.  Its N + 1 states repeat; cutting out
     the first cycle C leaves an (N - |C|)-step walk from v, so cost(C) <=
     S_N(v) - S_{N-|C|}(v) <= |C| lam and C is optimal (Chaturvedi &
-    McConnell 2017).  A NaN in the given states' columns raises
-    RuntimeError, from the walk or from the drift check.
+    McConnell 2017).  A NaN in the table raises RuntimeError, from the
+    walk or from the drift check.
     """
-    N = states.size
+    N = graph.n_states
     S = _horizon_table(graph, N)
-    S_states = S[:, states]
-    means = ((S_states[N] - S_states[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
+    means = ((S[N] - S[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
     best_val = float(means.min())
 
-    z = int(states[np.argmin(means)])
+    z = int(np.argmin(means))
     walk = _horizon_walk(graph, S, z, N)
     seen, t = {}, 0
     while z not in seen:
@@ -497,33 +497,38 @@ def _cycle_measure(
     closed set of states whose pair j is graph's pair pairs[j], with the
     uniform measure on that cycle as a measure on graph."""
     shifted = replace(sub, pair_cost=sub.pair_cost + shift)
-    cycle, value, _ = _min_mean_cycle(shifted, np.arange(sub.n_states))
+    cycle, value, _ = _min_mean_cycle(shifted)
     weights = np.bincount(pairs[cycle], minlength=graph.n_pairs) / len(cycle)
     return ErgodicInnerResult(value=value, gamma=OccupationalMeasure(graph=graph, weights=weights))
 
 
 def v_per(graph: Graph, y0: int) -> VPerResult:
     """Minimum mean cost over cycles reachable from y0, with a witness and
-    an optimal certificate.
+    an optimal certificate, all read off one table S: _min_mean_cycle's on
+    reached, the sub-graph of the N states reachable from y0.
 
-    The cycle is _min_mean_cycle's over the states reachable from y0; a
-    shortest admissible path provides the prefix.  The returned value is
-    the exact mean of the witness cycle.  The certificate comes from the
-    same table S, with N reachable states (see _cycle_certificate); its
-    mu is the value, so with pair_from_process(process), which costs the
-    value, it proves both optimal without a program.
+    The witness cycle's pairs are mapped back to graph, and a shortest
+    admissible path provides the prefix; the value is the cycle's exact
+    mean mu.  On a reached state eta(v) = min over k <= N of S_k(v) - k mu:
+    k(y, u) + S_k(f) >= S_{k+1}(y) covers every k < N on a reached pair,
+    and k = N holds because a walk of N + 1 steps from y, cut of its
+    cycles of mean at least mu, leaves j <= N steps with S_{N+1}(y) -
+    (N+1) mu >= S_j(y) - j mu.  Off reached eta is 0 and psi is lifted
+    (_lift_certificate at theta = 0).  With pair_from_process(process),
+    which costs mu, the certificate proves both optimal without a program.
     """
     reach, dist, pred_pair = reachable_states(graph, y0)
-    cycle, _, S = _min_mean_cycle(graph, reach)
+    sub, states, pairs = reached = _closed_subgraph(graph, y0, reach)
+    cycle, _, S = _min_mean_cycle(sub)
+    cycle = pairs[cycle].tolist()
 
     # Rotate the cycle to start at its state closest to y0, then attach the
     # breadth-first prefix.
     cycle_states = [int(graph.pair_state[g]) for g in cycle]
     start_pos = min(range(len(cycle)), key=lambda p: (dist[cycle_states[p]], cycle_states[p]))
     cycle = cycle[start_pos:] + cycle[:start_pos]
-    start_state = int(graph.pair_state[cycle[0]])
     prefix: list[int] = []
-    z = start_state
+    z = cycle_states[start_pos]
     while z != y0:
         g = int(pred_pair[z])
         prefix.append(g)
@@ -536,32 +541,15 @@ def v_per(graph: Graph, y0: int) -> VPerResult:
         cycle_pairs=np.array(cycle, dtype=int),
     )
     mu = process.mean_cycle_cost
+    eta = np.zeros(graph.n_states)
+    eta[states] = np.min(S - mu * np.arange(S.shape[0])[:, None], axis=0)
     return VPerResult(
         value=mu,
         process=process,
-        cert=_cycle_certificate(graph, y0, S, mu, dist >= 0),
-        reach=reach,
+        cert=_lift_certificate(graph, y0, mu, np.zeros(graph.n_states), eta, dist >= 0, 0.0),
+        reached=reached,
         dist=dist,
     )
-
-
-def _cycle_certificate(
-    graph: Graph, y0: int, S: np.ndarray, mu: float, reached: np.ndarray
-) -> DualCertificate:
-    """A feasible certificate at level mu, the minimum mean cycle over the
-    reached states, read off _min_mean_cycle's table S of N + 1 rows, N
-    the number of reached states.
-
-    eta(v) = min over 0 <= k <= N of S_k(v) - k mu.  On a reached pair,
-    k(y, u) + S_k(f) >= S_{k+1}(y) covers every k < N; a walk of N + 1
-    steps from y repeats a state, and cutting out its cycles, each of mean
-    at least mu, leaves a walk of j <= N steps with S_{N+1}(y) - (N+1) mu
-    >= S_j(y) - j mu, which covers k = N.  So k + eta(f) - eta(y) >= mu.
-    psi is 0 on the reached states and -L elsewhere (_lift_certificate at
-    theta = 0), which lifts the pairs that leave an unreached state.
-    """
-    eta = np.min(S - mu * np.arange(S.shape[0])[:, None], axis=0)
-    return _lift_certificate(graph, y0, mu, np.zeros(graph.n_states), eta, reached, 0.0)
 
 
 def _lift_certificate(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lrac import (
+    ControlProblem,
     Trajectory,
     build_graph,
     detect_cycle,
@@ -22,6 +23,8 @@ from lrac import (
     solve_primal,
     value_iteration_avg,
 )
+from lrac.cli import _discounted_measure
+from lrac.problem import _closed_subgraph
 from lrac.programs import reachable_states
 
 SEEDS = tuple(range(50))
@@ -192,6 +195,13 @@ def discounted_pairing_brute(
     return float(np.dot(discounts, np.asarray(q, dtype=float)[pairs]))
 
 
+def discounted_measure(graph, y0: int, alpha: float):
+    """The discounted measure that `lrac sweep --sweep alpha` projects: the
+    greedy run of h_alpha from y0, computed on the states reachable from y0."""
+    reached = _closed_subgraph(graph, y0, reachable_states(graph, y0)[0])
+    return _discounted_measure(graph, y0, reached, alpha)[1]
+
+
 def box_distance(measure, basis):
     """The projection program in its box form, |<f_j, gamma> - t_j| <= e_j
     at cost <w, e>, solved by HiGHS at feasibility tolerances of 1e-10
@@ -222,3 +232,27 @@ def box_distance(measure, basis):
     )
     assert res.status == 0, res.message
     return res.fun
+
+
+def disjoint_union(problem: ControlProblem, other: ControlProblem) -> ControlProblem:
+    """problem's states, then other's, with other's successors offset by n
+    and the shorter action list padded with inadmissible actions."""
+    n = problem.n_states
+    K = max(problem.n_actions, other.n_actions)
+    actions = problem.actions + other.actions[problem.n_actions :]
+
+    def padded(p: ControlProblem, offset: int) -> tuple[np.ndarray, np.ndarray]:
+        succ = np.full((p.n_states, K), -1)
+        cost = np.full((p.n_states, K), np.nan)
+        succ[:, : p.n_actions] = np.where(p.successor >= 0, p.successor + offset, -1)
+        cost[:, : p.n_actions] = p.cost
+        return succ, cost
+
+    (s1, c1), (s2, c2) = padded(problem, 0), padded(other, n)
+    return ControlProblem(
+        name=problem.name,
+        states=np.vstack([problem.states, other.states]),
+        actions=actions,
+        successor=np.vstack([s1, s2]),
+        cost=np.vstack([c1, c2]),
+    )

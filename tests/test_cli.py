@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,13 @@ from lrac import (
 )
 from lrac.cli import main
 
-from conftest import box_distance, plain_horizon_table, policy_trajectory
+from conftest import (
+    box_distance,
+    discounted_measure,
+    disjoint_union,
+    plain_horizon_table,
+    policy_trajectory,
+)
 
 
 def _run(capsys, argv):
@@ -797,6 +804,81 @@ class TestOneSearchPerCommand:
         assert seen == [0]
 
 
+class TestReachedSubgraph:
+    """Every per-start layer runs on the one sub-graph of the states
+    reachable from y0: the discounted values, their greedy policy and its
+    run, and the cycle recursion's tables inside v_per.  v_per builds that
+    sub-graph once and the commands do not rebuild it.  toy joined to an
+    unreachable random component reaches 2 of 221 states."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve"], ["verify"], ["sweep", "--sweep", "alpha", "--values", "0.5,0.9,0.99"]],
+        ids=["solve", "verify", "sweep"],
+    )
+    def test_layers_see_only_reached_states(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "joined.json"
+        save_problem(disjoint_union(toy_problem(), random_problem(200, 3, 7)), str(path))
+        y0 = 8
+        graph = build_graph(lrac.cli.load_problem(str(path)))
+        reached = lrac.programs.reachable_states(graph, y0)[0].size
+        sizes = {name: [] for name in ("discounted", "greedy", "rollout", "karp", "subgraph")}
+        in_v_per = []
+
+        def recording(module, name, key, inside=False):
+            real = getattr(module, name)
+
+            def wrapper(g, *args, **kwargs):
+                if not inside or in_v_per:
+                    sizes[key].append(g.n_states)
+                return real(g, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(lrac.cli, "value_iteration_discounted", "discounted")
+        recording(lrac.cli, "greedy_policy", "greedy")
+        recording(lrac.cli, "rollout", "rollout")
+        recording(lrac.programs, "_horizon_table", "karp", inside=True)
+        recording(lrac.programs, "_closed_subgraph", "subgraph")
+        recording(lrac.cli, "_closed_subgraph", "subgraph")
+        real_v_per = lrac.cli.v_per
+
+        def v_per(g, start):
+            in_v_per.append(start)
+            try:
+                return real_v_per(g, start)
+            finally:
+                in_v_per.pop()
+
+        monkeypatch.setattr(lrac.cli, "v_per", v_per)
+        argv = [command[0], "--problem", str(path), "--y0", str(y0), *command[1:]]
+        code, _ = _run(capsys, argv)
+        assert code == 0
+        assert reached == 2 < graph.n_states
+        assert sizes["subgraph"] == [graph.n_states]
+        assert sizes["discounted"]
+        assert (len(sizes["karp"]) == 1) == (command[0] != "sweep")
+        if command[0] != "solve":
+            assert sizes["greedy"] and sizes["rollout"]
+        for key in ("discounted", "greedy", "rollout", "karp"):
+            assert all(n == reached for n in sizes[key]), (key, sizes[key])
+
+    def test_solve_memory(self):
+        # random n = 1280, seed 0 reaches 643 states from 0; the per-start
+        # layers' whole-graph arrays took the peak to about 26 MB
+        tracemalloc.start()
+        try:
+            code = main(
+                "solve --problem random --states 1280 --seed 0 --y0 0 --out".split()
+                + [os.devnull]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 18e6, peak
+
+
 # The dp-horizon benchmark workload's starts, and its random n = 20 solves.
 _HORIZON_STARTS = (
     [["--problem", "toy", "--y0", str(y0)] for y0 in (0, 4, 8, 15, 20)]
@@ -978,7 +1060,7 @@ class TestProjectionSweeps:
             if sweep == "T":
                 m = occupational_measure(policy_trajectory(graph, 40, int(row[0])))
             else:
-                m = lrac.cli._discounted_measure(graph, 40, float(row[0]))[1]
+                m = discounted_measure(graph, 40, float(row[0]))
             assert abs(float(row[3]) - box_distance(m, basis)) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -1022,7 +1104,7 @@ class TestProjectionSweeps:
             if sweep == "T":
                 m = occupational_measure(policy_trajectory(graph, y0, int(row[0])))
             else:
-                m = lrac.cli._discounted_measure(graph, y0, float(row[0]))[1]
+                m = discounted_measure(graph, y0, float(row[0]))
             assert abs(float(row[3]) - box_distance(m, basis)) <= 1e-9
 
     def test_drift_is_a_solver_failure(self, capsys):

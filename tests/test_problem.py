@@ -406,6 +406,23 @@ class TestJsonSchema:
         assert main(["solve", "--problem", str(path), "--y0", "0"]) == 2
         assert capsys.readouterr().err == f"problem input rejected: {path}: {message}\n"
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.load raises a plain ValueError, not a JSONDecodeError, on an
+        # integer literal longer than Python's int-string limit (4300 digits)
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"name": "x", "states": [[0]], "actions": ["a"], "transitions": ['
+            '{"state": 0, "action": 0, "next": 0, "cost": %s}]}' % ("9" * 5000)
+        )
+        message = f"{path}: not valid JSON (Exceeds the limit (4300 digits)"
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(str(path))
+        assert str(exc.value).startswith(message)
+        assert main(["solve", "--problem", str(path), "--y0", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"problem input rejected: {message}"), err
+        assert err.endswith(")\n") and err.count("\n") == 1
+
     def test_duplicate_pair_rejected(self):
         doc = {
             "name": "x",

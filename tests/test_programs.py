@@ -40,11 +40,11 @@ from lrac import (
     value_iteration_discounted,
 )
 from lrac import simplex
-from lrac.cli import _discounted_measure
 
 from conftest import (
     CHAIN_HORIZONS,
     box_distance,
+    discounted_measure,
     min_mean_cycle_brute,
     policy_trajectory,
 )
@@ -544,8 +544,9 @@ class TestCycleSolver:
             worst = max(certificate_residuals(graph, y0, cert).values())
             assert worst <= 1e-12 * (1.0 + graph.cost_bound)
             reached = res.dist >= 0
-            assert res.reach.tolist() == np.flatnonzero(reached).tolist()
+            assert res.reached[1].tolist() == np.flatnonzero(reached).tolist()
             assert np.all(cert.psi[reached] == 0.0) and np.all(cert.psi[~reached] <= -1.0)
+            assert np.all(cert.eta[~reached] == 0.0)
             lifted += int(not reached.all())
         assert lifted > 0
 
@@ -558,10 +559,10 @@ class TestCycleSolver:
                 ) <= 1e-7 * scale
 
 
-def _min_mean_cycle_reference(graph, states):
+def _min_mean_cycle_reference(graph):
     """_min_mean_cycle with the whole argmin table: every step's pair
     lookahead kept, its lowest minimizing pair per state, then the walk."""
-    N = states.size
+    N = graph.n_states
     S = np.zeros((N + 1, graph.n_states))
     best = np.empty((N + 1, graph.n_states), dtype=int)
     segments = [graph.pairs_of_state(y) for y in range(graph.n_states)]
@@ -569,10 +570,9 @@ def _min_mean_cycle_reference(graph, states):
         lookahead = graph.pair_cost + S[k - 1][graph.pair_succ]
         S[k] = [lookahead[pairs].min() for pairs in segments]
         best[k] = [pairs[np.argmin(lookahead[pairs])] for pairs in segments]
-    S_states = S[:, states]
-    means = ((S_states[N] - S_states[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
+    means = ((S[N] - S[:N]) / np.arange(N, 0, -1)[:, None]).max(axis=0)
     seen, walk = {}, []
-    z = int(states[np.argmin(means)])
+    z = int(np.argmin(means))
     while z not in seen:
         seen[z] = len(walk)
         walk.append(int(best[N - len(walk), z]))
@@ -596,8 +596,9 @@ class TestCycleWalk:
         for graph in [toy_graph, threestate_graph, *random_graphs, *tied]:
             for y0 in range(graph.n_states):
                 reach = reachable_states(graph, y0)[0]
-                cycle, mean, S = lrac.programs._min_mean_cycle(graph, reach)
-                want_cycle, want_mean, want_S = _min_mean_cycle_reference(graph, reach)
+                sub = lrac.programs._closed_subgraph(graph, y0, reach)[0]
+                cycle, mean, S = lrac.programs._min_mean_cycle(sub)
+                want_cycle, want_mean, want_S = _min_mean_cycle_reference(sub)
                 assert cycle == want_cycle
                 assert mean == want_mean
                 assert np.array_equal(S, want_S)
@@ -613,14 +614,14 @@ class TestCycleWalk:
 
 
 class TestCycleTableNaN:
-    """A NaN anywhere in the cycle recursion's rows over the given states
-    must raise, whether or not the witness walk reads it."""
+    """A NaN anywhere in the cycle recursion's table must raise, whether or
+    not the witness walk reads it."""
 
     def test_nan_table_raises(self, threestate_graph, monkeypatch):
-        reach = reachable_states(threestate_graph, 0)[0]
         real = lrac.programs._horizon_table
-        for k in range(reach.size + 1):
-            for v in reach:
+        N = threestate_graph.n_states
+        for k in range(N + 1):
+            for v in range(N):
 
                 def poisoned(graph, T, k=k, v=v):
                     S = real(graph, T).copy()
@@ -629,7 +630,7 @@ class TestCycleTableNaN:
 
                 monkeypatch.setattr(lrac.programs, "_horizon_table", poisoned)
                 with pytest.raises(RuntimeError):
-                    lrac.programs._min_mean_cycle(threestate_graph, reach)
+                    lrac.programs._min_mean_cycle(threestate_graph)
 
 
 class TestReachability:
@@ -914,10 +915,10 @@ class TestProjection:
         at all, is refused, and the projection solves cold."""
         graph = build_graph(random_problem(10, 3, 0))
         basis = chebyshev_basis(graph)
-        m = _discounted_measure(graph, 0, 0.99)[1]
+        m = discounted_measure(graph, 0, 0.99)
         cold = project_to_W(m, basis)
         # the alpha = 0.9 basis leaves a basic value negative here
-        other_measure = project_to_W(_discounted_measure(graph, 0, 0.9)[1], basis)
+        other_measure = project_to_W(discounted_measure(graph, 0, 0.9), basis)
         # same matrix and right-hand side, other costs: primal feasible,
         # not dual feasible
         reweighted = MetricBasis(
@@ -928,7 +929,7 @@ class TestProjection:
         )
         other_metric = project_to_W(m, reweighted)
         other_graph = project_to_W(
-            _discounted_measure(threestate_graph, 0, 0.9)[1], chebyshev_basis(threestate_graph)
+            discounted_measure(threestate_graph, 0, 0.9), chebyshev_basis(threestate_graph)
         )
         # cold's own basis cut short, with a column twice (singular), out of
         # range, or not of integers
@@ -954,7 +955,7 @@ class TestProjection:
             return cols, Binv, x_B
 
         basis = chebyshev_basis(toy_graph)
-        first, second = (_discounted_measure(toy_graph, 15, a)[1] for a in (0.9, 0.99))
+        first, second = (discounted_measure(toy_graph, 15, a) for a in (0.9, 0.99))
         warm = project_to_W(first, basis)
         assert project_to_W(second, basis, warm=warm).iterations == 0
         monkeypatch.setattr(simplex, "_warm_basis", drift)
@@ -981,7 +982,7 @@ class TestProjection:
         if alpha is None:
             m = occupational_measure(policy_trajectory(graph, y0, T))
         else:
-            m = _discounted_measure(graph, y0, alpha)[1]
+            m = discounted_measure(graph, y0, alpha)
         assert not membership_W(m)
         basis = chebyshev_basis(graph)
         res = project_to_W(m, basis)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dp import PeriodicProcess, Trajectory, _segment_argmin_pair, _segment_min
 from .problem import Graph, _per_state
-from .programs import DualCertificate, certificate_residuals
+from .programs import DualCertificate, _slacks, certificate_residuals
 
 __all__ = [
     "InfeasibleCertificate",
@@ -62,13 +62,8 @@ def _condition_residuals(
     at y0, and flatness of psi."""
     psi = _per_state(graph, cert.psi, "psi")
     eta = _per_state(graph, cert.eta, "eta")
-    s = graph.pair_state[pairs]
-    t = graph.pair_succ[pairs]
-    tight = np.abs(
-        graph.pair_cost[pairs] - psi[s] + eta[t] - eta[s] - (value - psi[y0])
-    )
-    flat = np.abs(psi[s] - psi[y0])
-    return tight, flat
+    slack, _ = _slacks(graph, y0, value, psi, eta, 0.0)
+    return np.abs(slack[pairs]), np.abs(psi[graph.pair_state[pairs]] - psi[y0])
 
 
 def check_sufficient(

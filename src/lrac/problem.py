@@ -292,17 +292,12 @@ def snap_dynamics(
 
 def problem_to_dict(problem: ControlProblem) -> dict:
     """Plain-dict form of a problem, matching the JSON schema."""
-    transitions = []
-    for y in range(problem.n_states):
-        for u in problem.admissible_actions(y):
-            transitions.append(
-                {
-                    "state": int(y),
-                    "action": int(u),
-                    "next": int(problem.successor[y, u]),
-                    "cost": float(problem.cost[y, u]),
-                }
-            )
+    ys, us = np.nonzero(problem.successor >= 0)  # row-major: by state, then action
+    succ, cost = problem.successor[ys, us].tolist(), problem.cost[ys, us].tolist()
+    transitions = [
+        {"state": y, "action": u, "next": z, "cost": c}
+        for y, u, z, c in zip(ys.tolist(), us.tolist(), succ, cost)
+    ]
     return {
         "name": problem.name,
         "states": problem.states.tolist(),
@@ -332,6 +327,13 @@ def problem_from_dict(data: dict) -> ControlProblem:
     states_raw = data["states"]
     if not isinstance(states_raw, list) or not states_raw:
         raise ProblemFormatError("states must be a nonempty list of coordinate lists")
+    for i, row in enumerate(states_raw):
+        # a list nested deeper is left to the shape check below
+        for c in row if isinstance(row, list) else [row]:
+            if isinstance(c, bool) or not isinstance(c, (int, float, list)):
+                raise ProblemFormatError(
+                    f"states[{i}]: coordinate {json.dumps(c)} is not a number"
+                )
     try:
         states = np.asarray(states_raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -243,15 +243,40 @@ def _check_theta(theta: float) -> None:
         raise ValueError("theta must be nonnegative")
 
 
-def _incidence(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal and inflow indicator matrices of the pairs of graph, each
-    (n_states, n_pairs), one column per pair in order."""
+def _stationary_rows(graph: Graph, A: np.ndarray) -> None:
+    """Write the mass and stationarity rows of graph's pairs into A, zero
+    there, over its first n_pairs columns, one per pair in order: row 0
+    holds a 1 per pair, row 1 + z inflow(z) - marginal(z)."""
     cols = np.arange(graph.n_pairs)
-    marg = np.zeros((graph.n_states, graph.n_pairs))
-    inflow = np.zeros((graph.n_states, graph.n_pairs))
-    marg[graph.pair_state, cols] = 1.0
-    inflow[graph.pair_succ, cols] = 1.0
-    return marg, inflow
+    A[0, cols] = 1.0
+    A[1 + graph.pair_succ, cols] += 1.0
+    A[1 + graph.pair_state, cols] -= 1.0
+
+
+def _solve_optimal(lp: simplex.LinearProgram, what: str, basis=None) -> simplex.LpSolution:
+    """simplex.solve(lp, basis=basis) for a program that is feasible and
+    bounded by construction, so that a status other than optimal raises
+    simplex.InaccurateSolution, naming the program as what."""
+    sol = simplex.solve(lp, basis=basis)
+    if sol.status != "optimal":
+        raise simplex.InaccurateSolution(
+            f"{what} returned {sol.status} "
+            f"after {sol.iterations} pivots on a {lp.n_rows}x{lp.n_vars} program"
+        )
+    return sol
+
+
+def _check_optimum(graph: Graph, what: str, misses: dict[str, float]) -> None:
+    """The gate on a claimed optimum of graph: raise
+    simplex.InaccurateSolution, naming what and every miss, when a
+    residual in misses exceeds 1e-9 (1 + M) or is NaN."""
+    tol = 1e-9 * (1.0 + graph.cost_bound)
+    over = {name: r for name, r in misses.items() if not r <= tol}
+    if over:
+        raise simplex.InaccurateSolution(
+            f"{what} exceeds {tol:.3g} in "
+            + ", ".join(f"{name} {r:.3g}" for name, r in over.items())
+        )
 
 
 def solve_primal(graph: Graph, y0: int, theta: float = 0.0) -> PrimalResult:
@@ -283,7 +308,7 @@ def _solve_primal_reached(graph: Graph, y0: int, reached, theta: float) -> Prima
     simplex.InaccurateSolution.  So does a status other than optimal, as
     the program is feasible and bounded, and an optimum whose dual or gap
     KKT residual, or whose lifted certificate's pair or monotone slack on
-    the whole graph, exceeds 1e-9 (1 + M), naming the worst miss.
+    the whole graph, exceeds 1e-9 (1 + M), naming every miss.
 
     The simplex prices c / M, M = graph.cost_bound (1 when every cost is 0),
     so its tolerances do not depend on the unit of cost; the value and the
@@ -294,27 +319,21 @@ def _solve_primal_reached(graph: Graph, y0: int, reached, theta: float) -> Prima
     sub, states, pairs = reached
     m, Q = states.size, pairs.size
     M = graph.cost_bound or 1.0
-    marg, inflow = _incidence(sub)
     A = np.zeros((2 * m + 1, 2 * Q))  # columns gamma, xi
+    _stationary_rows(sub, A)
+    # transfer rows: xi's inflow - marginal, gamma's -marginal, and
+    # [z = y0] entering through the total mass of gamma
+    A[m + 1 :, Q:] = A[1 : m + 1, :Q]
+    A[m + 1 + sub.pair_state, np.arange(Q)] = -1.0
+    A[m + 1 + np.searchsorted(states, y0), :Q] += 1.0
     b = np.zeros(2 * m + 1)
+    b[0] = 1.0
     c = np.zeros(2 * Q)
     c[:Q] = sub.pair_cost / M
     c[Q:] = theta / M
-    A[0, :Q] = 1.0
-    b[0] = 1.0
-    A[1 : m + 1, :Q] = inflow - marg
-    A[m + 1 :, :Q] = -marg
-    # [z = y0] enters through the total mass of gamma
-    A[m + 1 + np.searchsorted(states, y0), :Q] += 1.0
-    A[m + 1 :, Q:] = inflow - marg
     lp = simplex.LinearProgram(c=c, A=A, b=b)
-    sol = simplex.solve(lp)
-    if sol.status != "optimal":
-        # feasible (the witness cycle's pair) and bounded (mass 1, gamma >= 0)
-        raise simplex.InaccurateSolution(
-            f"measure program for y0={y0}, theta={theta} returned {sol.status} "
-            f"after {sol.iterations} pivots on a {A.shape[0]}x{A.shape[1]} program"
-        )
+    # feasible (the witness cycle's pair) and bounded (mass 1, gamma >= 0)
+    sol = _solve_optimal(lp, f"measure program for y0={y0}, theta={theta}")
     gamma_w = np.zeros(graph.n_pairs)
     xi_w = np.zeros(graph.n_pairs)
     gamma_w[pairs] = sol.x[:Q]
@@ -341,12 +360,7 @@ def _solve_primal_reached(graph: Graph, y0: int, reached, theta: float) -> Prima
         "gap": residuals["gap"] * M,
         **certificate_residuals(graph, y0, cert, theta),
     }
-    worst = max(misses, key=misses.get)
-    tol = 1e-9 * (1.0 + graph.cost_bound)
-    if not misses[worst] <= tol:
-        raise simplex.InaccurateSolution(
-            f"measure program's optimum exceeds {tol:.3g} in {worst} {misses[worst]:.3g}"
-        )
+    _check_optimum(graph, "measure program's optimum", misses)
     return PrimalResult(
         value=float(sol.objective) * M,
         pair=PrimalPair(gamma=gamma, xi=xi),
@@ -572,8 +586,7 @@ def _lift_certificate(
     no reached state leads out of the set, no other constraint changes.
     """
     off = ~reached[graph.pair_state]
-    slack = graph.pair_cost + psi[y0] + eta[graph.pair_succ] - eta[graph.pair_state] - mu
-    mono = psi[graph.pair_succ] + theta
+    slack, mono = _slacks(graph, y0, mu, psi, eta, theta)
     worst = min(np.min(slack, where=off, initial=0.0), np.min(mono, where=off, initial=0.0))
     return DualCertificate(mu=mu, psi=np.where(reached, psi, -(1.0 - float(worst))), eta=eta)
 
@@ -615,6 +628,18 @@ def pair_residuals(pair: PrimalPair, y0: int) -> dict[str, float]:
     }
 
 
+def _slacks(
+    graph: Graph, y0: int, mu: float, psi: np.ndarray, eta: np.ndarray, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The certificate's two slacks on every pair of graph, each
+    nonnegative where its constraint holds: the pair slack
+    k + psi(y0) - psi(y) + eta(f) - eta(y) - mu and the monotone slack
+    psi(f) - psi(y) + theta."""
+    s, f = graph.pair_state, graph.pair_succ
+    slack = graph.pair_cost + psi[y0] - psi[s] + eta[f] - eta[s] - mu
+    return slack, psi[f] - psi[s] + theta
+
+
 def certificate_residuals(
     graph: Graph, y0: int, cert: DualCertificate, theta: float = 0.0
 ) -> dict[str, float]:
@@ -629,15 +654,7 @@ def certificate_residuals(
         raise ValueError("mu must be finite")
     psi = _per_state(graph, cert.psi, "psi")
     eta = _per_state(graph, cert.eta, "eta")
-    slack = (
-        graph.pair_cost
-        + psi[y0]
-        - psi[graph.pair_state]
-        + eta[graph.pair_succ]
-        - eta[graph.pair_state]
-        - cert.mu
-    )
-    mono = psi[graph.pair_succ] - psi[graph.pair_state] + theta
+    slack, mono = _slacks(graph, y0, cert.mu, psi, eta, theta)
     return {
         "pair_slack": float(max(0.0, -np.min(slack))),
         "monotone_slack": float(max(0.0, -np.min(mono))),
@@ -685,23 +702,16 @@ def project_to_W(
     graph = measure.graph
     n, P = graph.n_states, graph.n_pairs
     J = basis.size
-    marg, inflow = _incidence(graph)
     A = np.zeros((1 + n + J, P + 2 * J))  # columns gamma, d+, d-
-    A[0, :P] = 1.0
-    A[1 : n + 1, :P] = inflow - marg
+    _stationary_rows(graph, A)
     A[n + 1 :, :P] = basis.matrix
     A[n + 1 :, P : P + J] = -np.eye(J)
     A[n + 1 :, P + J :] = np.eye(J)
     b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ measure.weights])
     c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
     lp = simplex.LinearProgram(c=c, A=A, b=b)
-    sol = simplex.solve(lp, basis=None if warm is None else warm.basis)
-    if sol.status != "optimal":
-        # feasible (any stationary measure) and bounded (costs >= 0)
-        raise simplex.InaccurateSolution(
-            f"projection program returned {sol.status} "
-            f"after {sol.iterations} pivots on a {A.shape[0]}x{A.shape[1]} program"
-        )
+    # feasible (any stationary measure) and bounded (costs >= 0)
+    sol = _solve_optimal(lp, "projection program", None if warm is None else warm.basis)
     gamma = sol.x[:P]
     try:
         nearest = OccupationalMeasure(graph=graph, weights=gamma)

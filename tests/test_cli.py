@@ -2,9 +2,11 @@
 command, exit codes, and determinism."""
 
 import dataclasses
+import importlib
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -1176,6 +1178,29 @@ class TestParserReuse:
         assert main(_VERIFY) == 7
         assert seen == [1]
         assert capsys.readouterr().out == ""
+
+
+class TestOtherPackageName:
+    """Every import inside the package is relative, so a copy of it loads
+    under another name next to lrac, as comparing two trees in one
+    interpreter needs."""
+
+    def test_copy_prints_what_lrac_prints(self, tmp_path, capsys, monkeypatch):
+        argv = ["solve", "--problem", "toy", "--y0", "15"]
+        _, expected = _run(capsys, argv)
+        src = pathlib.Path(lrac.cli.__file__).parent
+        shutil.copytree(src, tmp_path / "lrac_copy", ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        # an absolute import of lrac inside the copy now fails
+        for name in [m for m in sys.modules if m == "lrac" or m.startswith("lrac.")]:
+            monkeypatch.setitem(sys.modules, name, None)
+        try:
+            code = importlib.import_module("lrac_copy.cli").main(argv)
+        finally:
+            for name in [m for m in sys.modules if m.split(".")[0] == "lrac_copy"]:
+                del sys.modules[name]
+        assert code == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestBasisOnlyWhenProjecting:

@@ -1,17 +1,24 @@
-"""Metamorphic relations: relabelling the states, or adding a component
-that y0 cannot reach, must not move the values `lrac solve` prints.
+"""Metamorphic relations: relabelling the states or the actions, or
+adding a component that y0 cannot reach, must not move the values
+`lrac solve` prints.
 
-Each problem is solved from every start in three forms: as given, with
+Each problem is solved from every start in four forms: as given, with
 its states relabelled (new state i is old state perm[i], y0 mapped
-along), and with random_problem(15, 3, 99) appended as an unreachable
-component.  V_T, d_star, k_star, k_star_theta and sup_over_K must agree
-bit for bit in both forms.  h_alpha is computed on the sub-graph of the
-states reachable from y0, which the union leaves as it is, so it must
-agree bit for bit there too; relabelling reorders that sub-graph's rows,
-and the linear solves behind h_alpha with them, so there it must agree
-within 1e-15 (1 + M).  chain, certificate and feedback are not compared:
-the union can change M, and both forms change the states off the reached
-set.  `lrac verify` must pass on all three forms.
+along), with its actions relabelled (new action j is old action
+sigma[j], its label, successor and cost columns moving together), and
+with random_problem(15, 3, 99) appended as an unreachable component.
+V_T, d_star, k_star, k_star_theta and sup_over_K must agree bit for bit
+in every form.  h_alpha is computed on the sub-graph of the states
+reachable from y0.  The union leaves that sub-graph as it is, and the
+action relabelling keeps its states in order and moves only which of a
+state's tied pairs the lowest index picks, so h_alpha must agree bit for
+bit in both, as it does on this panel.  Relabelling the states reorders
+that sub-graph's rows, and the linear solves behind h_alpha with them,
+so there it must agree within 1e-15 (1 + M).  chain, certificate and
+feedback are not compared: the union can change M, the state relabelling
+and the union change the states off the reached set, and the action
+relabelling changes which of two tied actions feedback picks.
+`lrac verify` must pass on all four forms.
 """
 
 import json
@@ -57,6 +64,17 @@ def relabelled(problem: ControlProblem, perm: np.ndarray) -> ControlProblem:
     )
 
 
+def actions_relabelled(problem: ControlProblem, sigma: np.ndarray) -> ControlProblem:
+    """New action j is old action sigma[j]: label, successor and cost."""
+    return ControlProblem(
+        name=problem.name,
+        states=problem.states,
+        actions=tuple(problem.actions[j] for j in sigma),
+        successor=problem.successor[:, sigma],
+        cost=problem.cost[:, sigma],
+    )
+
+
 def _run(capsys, command: str, path, y0: int, flags=()) -> tuple[int, str]:
     code = main([command, "--problem", str(path), "--y0", str(y0), *flags])
     return code, capsys.readouterr().out
@@ -72,13 +90,14 @@ def test_relabel_and_disjoint_union(name, tmp_path, capsys):
     for form, p in (
         ("given", problem),
         ("relabel", relabelled(problem, perm)),
+        ("actions", actions_relabelled(problem, np.roll(np.arange(problem.n_actions), 1))),
         ("union", disjoint_union(problem, random_problem(15, 3, 99))),
     ):
         paths[form] = tmp_path / f"{form}.json"
         save_problem(p, str(paths[form]))
 
     for y0 in range(n):
-        starts = {"given": y0, "relabel": int(inv[y0]), "union": y0}
+        starts = {"given": y0, "relabel": int(inv[y0]), "actions": y0, "union": y0}
         results = {}
         for form, path in paths.items():
             code, out = _run(capsys, "solve", path, starts[form], SOLVE_FLAGS)
@@ -88,13 +107,13 @@ def test_relabel_and_disjoint_union(name, tmp_path, capsys):
             assert code == 0, (form, y0, out)
         base = results["given"]
         tol = 1e-15 * (1.0 + base["cost_bound"])
-        for form in ("relabel", "union"):
+        for form in ("relabel", "actions", "union"):
             other = results[form]
             for key in EXACT_KEYS:
                 assert other[key] == base[key], (form, y0, key)
             assert other["h_alpha"].keys() == base["h_alpha"].keys()
             for alpha, h in base["h_alpha"].items():
-                if form == "union":
+                if form != "relabel":
                     assert other["h_alpha"][alpha] == h, (form, y0, alpha)
                 else:
                     assert abs(other["h_alpha"][alpha] - h) <= tol, (form, y0, alpha)

@@ -406,6 +406,32 @@ class TestJsonSchema:
         assert main(["solve", "--problem", str(path), "--y0", "0"]) == 2
         assert capsys.readouterr().err == f"problem input rejected: {path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "states, shown",
+        [
+            ('[["1.5"], [2.0]]', '"1.5"'),
+            ("[[true], [2.0]]", "true"),
+            ("[[0.0, false], [2.0, 1.0]]", "false"),
+            ('["1.5", 2.0]', '"1.5"'),
+        ],
+    )
+    def test_state_coordinate_must_be_a_number(self, tmp_path, capsys, states, shown):
+        # a string or a boolean is rejected as a cost is, not read as the
+        # number it converts to
+        text = (
+            '{"name": "x", "states": %s, "actions": ["a"], "transitions": ['
+            '{"state": 0, "action": 0, "next": 1, "cost": 0}, '
+            '{"state": 1, "action": 0, "next": 0, "cost": 0}]}' % states
+        )
+        message = f"states[0]: coordinate {shown} is not a number"
+        with pytest.raises(ProblemFormatError) as exc:
+            problem_from_dict(json.loads(text))
+        assert str(exc.value) == message
+        path = tmp_path / "coordinate.json"
+        path.write_text(text)
+        assert main(["solve", "--problem", str(path), "--y0", "0"]) == 2
+        assert capsys.readouterr().err == f"problem input rejected: {path}: {message}\n"
+
     def test_integer_past_the_digit_limit(self, tmp_path, capsys):
         # json.load raises a plain ValueError, not a JSONDecodeError, on an
         # integer literal longer than Python's int-string limit (4300 digits)

@@ -121,8 +121,10 @@ class TestPrimal:
             return sol
 
         monkeypatch.setattr(simplex, "solve", perturbed)
-        with pytest.raises(InaccurateSolution, match=r"optimum exceeds 6e-09 in \w+ 5e-06"):
+        with pytest.raises(InaccurateSolution, match=r"optimum exceeds 6e-09 in \w+ 5e-06") as exc:
             solve_primal(threestate_graph, 0)
+        # the gate names every miss, not only the worst
+        assert str(exc.value).endswith(" in dual 5e-06, gap 5e-06, pair_slack 5e-06")
 
 
 class TestDual:

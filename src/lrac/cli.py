@@ -22,9 +22,13 @@ which builds no program; solve and verify run the breadth-first search
 from y0 once, in v_per, for all of them, and sweep runs it once too.
 Only verify solves the theta = 0 measure program, once, over the states
 that search reached, as its independent cross-check; a sweep's only LPs
-are its projections onto W.  Each row's projection offers simplex.solve
-the last row's optimal basis, kept with no pivot while it stays optimal,
-so a sweep runs at most one cold solve per change of basis.  Every
+are its projections onto W, which share one program, built at the
+first row off W over the test functions that can move the distance.
+Each row's projection offers the last row's optimal basis to the
+simplex's warm-start check, kept with no pivot while it stays optimal
+and read off the last kept inverse while its basis and row signs stay,
+so a sweep runs at most one cold solve per change of basis.  An empty
+--values list is a usage error.  Every
 command's first use of y0 is that search, which rejects a y0 outside
 [0, n).
 Every per-start layer runs on one sub-graph, that of the states the
@@ -287,6 +291,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    values = sorted(set((_parse_ints if args.sweep == "T" else _parse_floats)(args.values)))
+    if not values:
+        raise ValueError("--values needs at least one value")
     problem = _resolve_problem(args)
     graph = build_graph(problem)
     y0 = args.y0
@@ -296,7 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The test-function basis is built the first time a row's measure is
     # off W, and only then: theta rows are cycle measures, and many alpha
     # and T rows sit on a cycle, so most sweeps never project.  Each
-    # projection offers its optimal basis to the next one.
+    # projection lends its program and optimal basis to the next one.
     basis = None
     last = None
 
@@ -311,21 +318,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     if args.sweep == "T":
-        horizons = sorted(set(_parse_ints(args.values)))
-        S = _horizon_table_upto(sub, horizons)
+        S = _horizon_table_upto(sub, values)
         start = int(np.searchsorted(states, y0))
-        for T in horizons:
+        for T in values:
             value = float(S[T, start] / T)
             traj = Trajectory.from_pairs(graph, pairs[_horizon_walk(sub, S, start, T)])
             dist = distance_to_W(occupational_measure(traj))
             rows.append([float(T), value, value - d_star, dist])
     elif args.sweep == "alpha":
-        for alpha in sorted(set(_parse_floats(args.values))):
+        for alpha in values:
             h, m = _discounted_measure(graph, y0, reached, alpha)
             dist = distance_to_W(m)
             rows.append([alpha, h, h - d_star, dist])
     else:
-        for theta in sorted(set(_parse_floats(args.values))):
+        for theta in values:
             res = _k_star_reached(graph, reached, hops, theta)
             dist = distance_to_W(res.gamma)
             rows.append([theta, res.value, res.value - d_star, dist])

@@ -67,7 +67,7 @@ reads that test's inner minimum off v_per's recursion, over every state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -225,14 +225,35 @@ class VPerResult:
 
 
 @dataclass(frozen=True)
+class _Projection:
+    """project_to_W's program in one metric, less its right-hand side: the
+    kept and merged test functions (rows), their weights, A and c (both
+    read-only), and bound, the most the dropped functions add to a
+    distance."""
+
+    metric: MetricBasis
+    rows: np.ndarray
+    A: np.ndarray
+    c: np.ndarray
+    bound: float
+
+
+@dataclass(frozen=True)
 class ProjectionResult:
     """basis is the program's final simplex basis (see
-    simplex.LpSolution.basis), None when no program ran."""
+    simplex.LpSolution.basis), None when no program ran.  The distance over
+    every test function of the metric lies in [distance, distance + bound],
+    up to roundoff.  program and kept serve a next projection in the same
+    metric: the program less its right-hand side, and the basis inverse
+    simplex._solve_warm kept, None after a cold solve."""
 
     distance: float
     nearest: OccupationalMeasure
     iterations: int
     basis: np.ndarray | None = None
+    bound: float = 0.0
+    program: _Projection | None = field(default=None, repr=False, compare=False)
+    kept: simplex._Kept | None = field(default=None, repr=False, compare=False)
 
 
 def _check_theta(theta: float) -> None:
@@ -253,11 +274,11 @@ def _stationary_rows(graph: Graph, A: np.ndarray) -> None:
     A[1 + graph.pair_state, cols] -= 1.0
 
 
-def _solve_optimal(lp: simplex.LinearProgram, what: str, basis=None) -> simplex.LpSolution:
-    """simplex.solve(lp, basis=basis) for a program that is feasible and
-    bounded by construction, so that a status other than optimal raises
+def _solve_optimal(lp: simplex.LinearProgram, what: str) -> simplex.LpSolution:
+    """simplex.solve(lp) for a program that is feasible and bounded by
+    construction, so that a status other than optimal raises
     simplex.InaccurateSolution, naming the program as what."""
-    sol = simplex.solve(lp, basis=basis)
+    sol = simplex.solve(lp)
     if sol.status != "optimal":
         raise simplex.InaccurateSolution(
             f"{what} returned {sol.status} "
@@ -661,6 +682,44 @@ def certificate_residuals(
     }
 
 
+# The projection program drops the test functions f_j, f_j+1, ... once
+# their weighted tail 2 sum_{k >= j} w_k max|f_k| is at most this.
+_TAIL_TOL = 1e-12
+
+
+def _projection_program(metric: MetricBasis) -> _Projection:
+    """project_to_W's program for metric, less its right-hand side."""
+    graph = metric.graph
+    n, P = graph.n_states, graph.n_pairs
+    tail = 2.0 * np.cumsum((metric.weights * np.abs(metric.matrix).max(axis=1))[::-1])[::-1]
+    J = int(np.count_nonzero(tail > _TAIL_TOL))
+    bound = float(tail[J]) if J < metric.size else 0.0
+    # Functions equal on every pair share the row of the first of them, at
+    # their summed weight; + 0.0 turns -0.0 into 0.0, so equal rows have
+    # equal bytes.
+    slot: dict[bytes, int] = {}
+    first: list[int] = []
+    group = np.empty(J, dtype=int)
+    for j in range(J):
+        key = (metric.matrix[j] + 0.0).tobytes()
+        if key not in slot:
+            slot[key] = len(first)
+            first.append(j)
+        group[j] = slot[key]
+    rows = metric.matrix[first]
+    weights = np.bincount(group, weights=metric.weights[:J], minlength=len(first))
+    K = len(first)
+    A = np.zeros((1 + n + K, P + 2 * K))  # columns gamma, d+, d-
+    _stationary_rows(graph, A)
+    A[n + 1 :, :P] = rows
+    A[n + 1 :, P : P + K] = -np.eye(K)
+    A[n + 1 :, P + K :] = np.eye(K)
+    c = np.concatenate([np.zeros(P), weights, weights])
+    A.setflags(write=False)
+    c.setflags(write=False)
+    return _Projection(metric=metric, rows=rows, A=A, c=c, bound=bound)
+
+
 def project_to_W(
     measure: OccupationalMeasure,
     basis: MetricBasis,
@@ -673,46 +732,59 @@ def project_to_W(
     most 1e-9, the solver's feasibility tolerance) is its own nearest
     point: distance 0, no program built, iterations 0.  Otherwise the
     distance is the optimum of a program over (gamma, d+, d-) >= 0 with one
-    row per test function,
+    row per test function f_j kept,
 
         <f_j, gamma> - d+_j + d-_j = <f_j, measure>,
 
     at cost sum_j w_j (d+_j + d-_j); since every w_j > 0 an optimum never
-    holds both parts of one gap, so it is the weighted sum of |gaps|.  The
-    program is highly degenerate; the simplex's one pivot rule, with its
-    lexicographic ratio test, cannot cycle on it.  Gap row j holds -e_j
-    and +e_j (the columns of d+_j and d-_j), so the simplex starts it on
-    a gap column rather than an artificial, and phase 1 carries
-    artificials only for the mass and stationarity rows.
+    holds both parts of one gap, so it is the weighted sum of |gaps|.  Two
+    reductions leave the metric's distance within bound of that optimum:
+    - f_j is kept while the weighted tail from it on,
+      2 sum_{k >= j} w_k max|f_k|, exceeds 1e-12.  The measures on both
+      sides are probability measures, so the functions dropped add at most
+      that tail, reported as bound: 2^-40 for chebyshev_basis, whose 64
+      functions are cut to 41.
+    - Functions equal on every admissible pair share one row, at their
+      summed weight, which is exact: w_a |x| + w_b |x| = (w_a + w_b) |x|.
+      Threestate's scaled states -1, 0 and 1 make Chebyshev polynomials
+      repeat, and its 41 rows merge to 24.
+    The program is highly degenerate; the simplex's one pivot rule, with
+    its lexicographic ratio test, cannot cycle on it.  Gap row j holds -e_j
+    and +e_j (the columns of d+_j and d-_j), so the simplex starts it on a
+    gap column rather than an artificial, and phase 1 carries artificials
+    only for the mass and stationarity rows.
 
     Projections in one metric share the program's matrix and costs and
     differ only in the right-hand side, so an optimal simplex basis stays
     optimal for another measure whenever its basic values stay
-    nonnegative.  warm, a projection of another measure, offers its final
-    basis to simplex.solve, which keeps it with no pivot if it is optimal
-    for this program and solves cold otherwise.  A run of projections,
-    such as the rows of a sweep, thus pays at most one cold solve per
-    change of basis.  An optimal x that misses the probability simplex by
-    more than roundoff raises InaccurateSolution, on either path, and so
-    does a status other than optimal, as the program is feasible and
-    bounded.
+    nonnegative.  warm, a projection of another measure, lends its program
+    when it was built for this very metric object, and offers its final
+    basis to simplex._solve_warm, which keeps it with no pivot if it is
+    optimal here; otherwise the program is solved cold.  A basis kept
+    twice at the same row signs reuses the inverse the first keep
+    factored.  A run of projections, such as the rows of a sweep, thus
+    builds one program and pays one cold solve per change of basis.  An
+    optimal x that misses the probability simplex by more than roundoff
+    raises InaccurateSolution, on either path, and so does a status other
+    than optimal, as the program is feasible and bounded.
     """
     if membership_W(measure):
         return ProjectionResult(distance=0.0, nearest=measure, iterations=0)
     graph = measure.graph
-    n, P = graph.n_states, graph.n_pairs
-    J = basis.size
-    A = np.zeros((1 + n + J, P + 2 * J))  # columns gamma, d+, d-
-    _stationary_rows(graph, A)
-    A[n + 1 :, :P] = basis.matrix
-    A[n + 1 :, P : P + J] = -np.eye(J)
-    A[n + 1 :, P + J :] = np.eye(J)
-    b = np.concatenate([[1.0], np.zeros(n), basis.matrix @ measure.weights])
-    c = np.concatenate([np.zeros(P), basis.weights, basis.weights])
-    lp = simplex.LinearProgram(c=c, A=A, b=b)
-    # feasible (any stationary measure) and bounded (costs >= 0)
-    sol = _solve_optimal(lp, "projection program", None if warm is None else warm.basis)
-    gamma = sol.x[:P]
+    program = warm.program if warm is not None else None
+    if program is None or program.metric is not basis:
+        program = _projection_program(basis)
+    b = np.concatenate([[1.0], np.zeros(graph.n_states), program.rows @ measure.weights])
+    lp = simplex.LinearProgram(c=program.c, A=program.A, b=b)
+    found = None
+    if warm is not None and warm.basis is not None:
+        found = simplex._solve_warm(lp, warm.basis, warm.kept)
+    if found is None:
+        # feasible (any stationary measure) and bounded (costs >= 0)
+        sol, kept = _solve_optimal(lp, "projection program"), None
+    else:
+        sol, kept = found
+    gamma = sol.x[: graph.n_pairs]
     try:
         nearest = OccupationalMeasure(graph=graph, weights=gamma)
     except ValueError as exc:
@@ -725,5 +797,7 @@ def project_to_W(
         nearest=nearest,
         iterations=sol.iterations,
         basis=sol.basis,
+        bound=program.bound,
+        program=program,
+        kept=kept,
     )
-

@@ -51,6 +51,14 @@ then x is primal and y dual feasible with complementary slackness, so
 both are optimal.  Every test reads lp's own A, b and c.  Anything else is
 solved cold; the simplex never pivots from an offered basis, as the
 lexicographic argument above starts from B_0 = I.
+
+The factor and the reduced costs depend on A, c, the row flips and the
+basis, but not on b.  A caller that solves one program at many
+right-hand sides uses _solve_warm, the same check, which also returns
+the B^-1 of a basis it kept.  Offered back with a program that has the
+very same A and c arrays, the same row flips and the same basis, that
+B^-1 is reused: only x_B = B^-1 b is read afresh, and only the x_B and
+A x = b tests are run.
 """
 
 from __future__ import annotations
@@ -152,140 +160,199 @@ def solve(
     ratio-test ties lexicographically.  An offered basis, indexed as
     LpSolution.basis is, is kept if it is optimal for lp (see the module
     docstring); otherwise lp is solved cold."""
+    if basis is not None:
+        warm = _solve_warm(lp, basis)
+        if warm is not None:
+            return warm[0]
     m, N = lp.n_rows, lp.n_vars
+    flip, A_ext, b, phase2_cost = _extend(lp)
+    A = A_ext[:, :N]
 
-    # Flip rows so the right-hand side is nonnegative.  The columns of
-    # A_ext are the variables, then the artificials.
+    # A row holding a +e_i, -e_i pair starts on its lowest +e_i column,
+    # not its artificial; B_0 stays I (see the module docstring).
+    basis = np.arange(N, N + m)
+    units = np.flatnonzero(np.count_nonzero(A, axis=0) == 1)
+    if units.size:
+        rows = np.argmax(A[:, units] != 0.0, axis=0)
+        vals = A[rows, units]
+        lowest = np.full(m, N)  # N: the row has no +e_i column
+        np.minimum.at(lowest, rows[vals == 1.0], units[vals == 1.0])
+        minus = np.zeros(m, dtype=bool)
+        minus[rows[vals == -1.0]] = True
+        crash = minus & (lowest < N)
+        basis[crash] = lowest[crash]
+    # x_B and B^-1 are views of one array, so one update moves both.
+    xB_Binv = np.hstack([b[:, None], np.eye(m)])
+    x_B, Binv = xB_Binv[:, 0], xB_Binv[:, 1:]
+    iterations = 0
+    if max_iter is None:
+        max_iter = 2000 + 200 * m + 20 * N
+
+    def pivot(i: int, j: int, col: np.ndarray) -> None:
+        """Bring column j, whose B^-1 a_j is col, into the basis at row i."""
+        xB_Binv[i] /= col[i]
+        col[i] = 0.0
+        xB_Binv[...] -= np.multiply.outer(col, xB_Binv[i])
+        np.maximum(x_B, 0.0, out=x_B)
+        basis[i] = j
+
+    def run_phase(cost: np.ndarray, allowed: np.ndarray) -> str:
+        nonlocal iterations
+        while True:
+            reduced = np.where(allowed, cost - (cost[basis] @ Binv) @ A_ext, np.inf)
+            if not reduced.min(initial=0.0) < -OPT_TOL:
+                return "optimal"
+            j = int(np.argmin(reduced))
+            col = Binv @ A_ext[:, j]
+            eligible = col > PIVOT_TOL
+            if not eligible.any():
+                return "unbounded"
+            ratios = np.where(eligible, x_B / np.where(eligible, col, 1.0), np.inf)
+            rmin = ratios.min()
+            tied = np.flatnonzero(ratios <= rmin + 1e-12 + 1e-9 * abs(rmin))
+            if tied.size == 1:
+                i = int(tied[0])
+            else:
+                i = _lex_min_row(Binv, tied, col)
+            pivot(i, j, col)
+            iterations += 1
+            if iterations > max_iter:
+                raise IterationLimit(
+                    f"simplex exceeded {max_iter} pivots on a {m}x{N} program"
+                )
+
+    # Phase 1: minimize the artificial mass.
+    phase1_cost = np.concatenate([np.zeros(N), np.ones(m)])
+    if run_phase(phase1_cost, np.ones(N + m, dtype=bool)) != "optimal":
+        # cannot happen: phase 1 is bounded below by zero
+        raise RuntimeError("phase 1 reported unbounded")
+    phase1_obj = float(phase1_cost[basis] @ x_B)
+    phase1_iterations = iterations
+    if phase1_obj > FEAS_TOL:
+        status = "infeasible"
+    else:
+        # Drive artificials out of the basis where a usable pivot
+        # exists, on row i of B^-1 A; rows that offer none (a program
+        # with no columns offers none) are redundant and keep a
+        # zero-level artificial.
+        for i in range(m):
+            if basis[i] >= N:
+                entries = np.abs(Binv[i] @ A)
+                if entries.max(initial=0.0) > 1e-8:
+                    j = int(np.argmax(entries))
+                    pivot(i, j, Binv @ A[:, j])
+                    iterations += 1
+        phase1_iterations = iterations
+        # Phase 2 on the true objective, artificials barred from entering.
+        allowed = np.concatenate([np.ones(N, dtype=bool), np.zeros(m, dtype=bool)])
+        status = run_phase(phase2_cost, allowed)
+    if status != "optimal":
+        return LpSolution(
+            status=status,
+            objective=None,
+            x=None,
+            y=None,
+            iterations=iterations,
+            phase1_objective=phase1_obj,
+            phase1_iterations=phase1_iterations,
+        )
+
+    # Updates accumulate roundoff in B^-1 and x_B.  One matvec checks
+    # A x = b; only on a miss is the final basis factored afresh.
+    if _equality_miss(A_ext, b, N, basis, x_B) > FEAS_TOL:
+        try:
+            Binv, x_B = _factor(A_ext, b, basis)
+        except np.linalg.LinAlgError as exc:
+            # LinAlgError is a ValueError, which the CLI reads as bad input
+            raise InaccurateSolution(f"final basis cannot be re-read: {exc}") from None
+        worst = float(x_B.min(initial=0.0))
+        if worst < -FEAS_TOL:
+            raise InaccurateSolution(
+                f"final basis is not primal feasible: basic value {worst:.3g}"
+            )
+        np.maximum(x_B, 0.0, out=x_B)
+    return _optimal(
+        lp, flip, phase2_cost, basis, Binv, x_B, iterations, phase1_obj, phase1_iterations
+    )
+
+
+def _extend(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(flip, A_ext, b, cost): the row signs that make lp's right-hand side
+    nonnegative, [A | I] with those rows flipped (the variables, then one
+    artificial per row), the flipped right-hand side, and lp's costs with a
+    zero per artificial."""
+    m = lp.n_rows
     flip = np.where(lp.b < 0.0, -1.0, 1.0)
     A_ext = np.hstack([lp.A * flip[:, None], np.eye(m)])
-    A = A_ext[:, :N]
-    b = lp.b * flip
-    phase2_cost = np.concatenate([lp.c, np.zeros(m)])
+    return flip, A_ext, lp.b * flip, np.concatenate([lp.c, np.zeros(m)])
 
-    warm = None if basis is None else _warm_basis(A_ext, b, phase2_cost, N, basis)
-    if warm is not None:
-        basis, Binv, x_B = warm
-        iterations = phase1_iterations = 0
-        phase1_obj = 0.0
-    else:
-        # A row holding a +e_i, -e_i pair starts on its lowest +e_i column,
-        # not its artificial; B_0 stays I (see the module docstring).
-        basis = np.arange(N, N + m)
-        units = np.flatnonzero(np.count_nonzero(A, axis=0) == 1)
-        if units.size:
-            rows = np.argmax(A[:, units] != 0.0, axis=0)
-            vals = A[rows, units]
-            lowest = np.full(m, N)  # N: the row has no +e_i column
-            np.minimum.at(lowest, rows[vals == 1.0], units[vals == 1.0])
-            minus = np.zeros(m, dtype=bool)
-            minus[rows[vals == -1.0]] = True
-            crash = minus & (lowest < N)
-            basis[crash] = lowest[crash]
-        # x_B and B^-1 are views of one array, so one update moves both.
-        xB_Binv = np.hstack([b[:, None], np.eye(m)])
-        x_B, Binv = xB_Binv[:, 0], xB_Binv[:, 1:]
-        iterations = 0
-        if max_iter is None:
-            max_iter = 2000 + 200 * m + 20 * N
 
-        def pivot(i: int, j: int, col: np.ndarray) -> None:
-            """Bring column j, whose B^-1 a_j is col, into the basis at row i."""
-            xB_Binv[i] /= col[i]
-            col[i] = 0.0
-            xB_Binv[...] -= np.multiply.outer(col, xB_Binv[i])
-            np.maximum(x_B, 0.0, out=x_B)
-            basis[i] = j
-
-        def run_phase(cost: np.ndarray, allowed: np.ndarray) -> str:
-            nonlocal iterations
-            while True:
-                reduced = np.where(allowed, cost - (cost[basis] @ Binv) @ A_ext, np.inf)
-                if not reduced.min(initial=0.0) < -OPT_TOL:
-                    return "optimal"
-                j = int(np.argmin(reduced))
-                col = Binv @ A_ext[:, j]
-                eligible = col > PIVOT_TOL
-                if not eligible.any():
-                    return "unbounded"
-                ratios = np.where(eligible, x_B / np.where(eligible, col, 1.0), np.inf)
-                rmin = ratios.min()
-                tied = np.flatnonzero(ratios <= rmin + 1e-12 + 1e-9 * abs(rmin))
-                if tied.size == 1:
-                    i = int(tied[0])
-                else:
-                    i = _lex_min_row(Binv, tied, col)
-                pivot(i, j, col)
-                iterations += 1
-                if iterations > max_iter:
-                    raise IterationLimit(
-                        f"simplex exceeded {max_iter} pivots on a {m}x{N} program"
-                    )
-
-        # Phase 1: minimize the artificial mass.
-        phase1_cost = np.concatenate([np.zeros(N), np.ones(m)])
-        if run_phase(phase1_cost, np.ones(N + m, dtype=bool)) != "optimal":
-            # cannot happen: phase 1 is bounded below by zero
-            raise RuntimeError("phase 1 reported unbounded")
-        phase1_obj = float(phase1_cost[basis] @ x_B)
-        phase1_iterations = iterations
-        if phase1_obj > FEAS_TOL:
-            status = "infeasible"
-        else:
-            # Drive artificials out of the basis where a usable pivot
-            # exists, on row i of B^-1 A; rows that offer none (a program
-            # with no columns offers none) are redundant and keep a
-            # zero-level artificial.
-            for i in range(m):
-                if basis[i] >= N:
-                    entries = np.abs(Binv[i] @ A)
-                    if entries.max(initial=0.0) > 1e-8:
-                        j = int(np.argmax(entries))
-                        pivot(i, j, Binv @ A[:, j])
-                        iterations += 1
-            phase1_iterations = iterations
-            # Phase 2 on the true objective, artificials barred from entering.
-            allowed = np.concatenate([np.ones(N, dtype=bool), np.zeros(m, dtype=bool)])
-            status = run_phase(phase2_cost, allowed)
-        if status != "optimal":
-            return LpSolution(
-                status=status,
-                objective=None,
-                x=None,
-                y=None,
-                iterations=iterations,
-                phase1_objective=phase1_obj,
-                phase1_iterations=phase1_iterations,
-            )
-
-        # Updates accumulate roundoff in B^-1 and x_B.  One matvec checks
-        # A x = b; only on a miss is the final basis factored afresh.
-        if _equality_miss(A_ext, b, N, basis, x_B) > FEAS_TOL:
-            try:
-                Binv, x_B = _factor(A_ext, b, basis)
-            except np.linalg.LinAlgError as exc:
-                # LinAlgError is a ValueError, which the CLI reads as bad input
-                raise InaccurateSolution(f"final basis cannot be re-read: {exc}") from None
-            worst = float(x_B.min(initial=0.0))
-            if worst < -FEAS_TOL:
-                raise InaccurateSolution(
-                    f"final basis is not primal feasible: basic value {worst:.3g}"
-                )
-            np.maximum(x_B, 0.0, out=x_B)
-
-    x_ext = np.zeros(N + m)
+def _optimal(
+    lp: LinearProgram,
+    flip: np.ndarray,
+    cost: np.ndarray,
+    basis: np.ndarray,
+    Binv: np.ndarray,
+    x_B: np.ndarray,
+    iterations: int = 0,
+    phase1_objective: float = 0.0,
+    phase1_iterations: int = 0,
+) -> LpSolution:
+    """The optimal LpSolution of the basic solution x_B on basis, whose
+    B^-1 over the flipped rows is Binv; the row duals undo the flips."""
+    x_ext = np.zeros(lp.n_vars + lp.n_rows)
     x_ext[basis] = x_B
-    x = x_ext[:N]
-    y = (phase2_cost[basis] @ Binv) * flip
+    x = x_ext[: lp.n_vars]
     return LpSolution(
         status="optimal",
         objective=float(lp.c @ x),
         x=x,
-        y=y,
+        y=(cost[basis] @ Binv) * flip,
         iterations=iterations,
-        phase1_objective=phase1_obj,
+        phase1_objective=phase1_objective,
         phase1_iterations=phase1_iterations,
         basis=basis.copy(),
     )
+
+
+@dataclass(frozen=True)
+class _Kept:
+    """A basis that _solve_warm kept: the A and c arrays of its program,
+    the row signs of the right-hand side it was kept at, its columns, and
+    the B^-1 it was factored to and priced with."""
+
+    A: np.ndarray
+    c: np.ndarray
+    flip: np.ndarray
+    cols: np.ndarray
+    Binv: np.ndarray
+
+
+def _solve_warm(
+    lp: LinearProgram, cols, kept: _Kept | None = None
+) -> tuple[LpSolution, _Kept] | None:
+    """(solution, kept) if the offered basis cols passes the warm-start
+    checks of the module docstring for lp, None if it does not.  kept,
+    what an earlier call returned, lends its B^-1 when lp has the very A
+    and c arrays it was kept on, the same row signs and the same columns:
+    the factor and the reduced costs would come out the same, so only the
+    basic values are read afresh and checked.  The caller must not change
+    A or c in place between the calls."""
+    flip, A_ext, b, cost = _extend(lp)
+    Binv = None
+    if (
+        kept is not None
+        and kept.A is lp.A
+        and kept.c is lp.c
+        and np.array_equal(kept.flip, flip)
+        and np.array_equal(kept.cols, cols)
+    ):
+        Binv = kept.Binv
+    warm = _warm_basis(A_ext, b, cost, lp.n_vars, cols, Binv)
+    if warm is None:
+        return None
+    cols, Binv, x_B = warm
+    return _optimal(lp, flip, cost, cols, Binv, x_B), _Kept(lp.A, lp.c, flip, cols, Binv)
 
 
 def _factor(A_ext: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,10 +369,13 @@ def _equality_miss(A_ext: np.ndarray, b: np.ndarray, N: int, cols: np.ndarray, x
 
 
 def _warm_basis(
-    A_ext: np.ndarray, b: np.ndarray, cost: np.ndarray, N: int, cols
+    A_ext: np.ndarray, b: np.ndarray, cost: np.ndarray, N: int, cols, Binv=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(cols, B^-1, x_B) if the offered basis cols passes the warm-start
-    checks of the module docstring, x_B clamped at zero; None if not."""
+    checks of the module docstring, x_B clamped at zero; None if not.
+    Binv, when given, is B^-1 of cols in A_ext, already factored and
+    priced against cost by an earlier call that kept it: x_B = Binv b is
+    read and checked, and the factor and the reduced costs are skipped."""
     m = b.size
     cols = np.asarray(cols)
     if (
@@ -316,18 +386,23 @@ def _warm_basis(
         or len(set(cols.tolist())) < m
     ):
         return None
-    try:
-        Binv, x_B = _factor(A_ext, b, cols)
-    except np.linalg.LinAlgError:
-        return None
+    priced = Binv is not None
+    if priced:
+        x_B = Binv @ b
+    else:
+        try:
+            Binv, x_B = _factor(A_ext, b, cols)
+        except np.linalg.LinAlgError:
+            return None
     art = cols >= N
     if x_B[~art].min(initial=0.0) < -FEAS_TOL or np.abs(x_B[art]).max(initial=0.0) > FEAS_TOL:
         return None
     if _equality_miss(A_ext, b, N, cols, x_B) > FEAS_TOL:
         return None
-    reduced = cost[:N] - (cost[cols] @ Binv) @ A_ext[:, :N]
-    if reduced.min(initial=0.0) < -OPT_TOL:
-        return None
+    if not priced:
+        reduced = cost[:N] - (cost[cols] @ Binv) @ A_ext[:, :N]
+        if reduced.min(initial=0.0) < -OPT_TOL:
+            return None
     return cols.astype(int), Binv, np.maximum(x_B, 0.0)
 
 

@@ -438,6 +438,13 @@ class TestExitCodes:
         # the cycle 0 -> 1 -> 0 with theta on its second pair: (3 + 1 + theta) / 2
         assert json.loads(out)["k_star_theta"] == {"1e+300": 5e299}
 
+    @pytest.mark.parametrize("sweep", ["T", "alpha", "theta"])
+    @pytest.mark.parametrize("values", ["", ",", " , "])
+    def test_empty_values_is_usage_error(self, capsys, sweep, values):
+        # it used to print the CSV header alone and exit 0
+        argv = ["sweep", "--problem", "toy", "--y0", "15", "--sweep", sweep, "--values", values]
+        assert _rejected(capsys, argv) == "invalid arguments: --values needs at least one value\n"
+
     @pytest.mark.parametrize(
         "extra", [["solve"], ["verify"], ["sweep", "--sweep", "T", "--values", "3"]], ids=str
     )
@@ -641,6 +648,23 @@ class TestSimplexCalls:
     counted: those offered no basis, or that took a pivot.  A second
     program for any of them shows up here as an extra cold solve."""
 
+    def test_toy_T_sweep_factors_once(self, capsys, monkeypatch):
+        # the T = 16 row solves cold; T = 64 factors its basis to keep it,
+        # and the three rows after it read their values off that inverse
+        real = lrac.simplex._factor
+        seen = []
+
+        def counting(A_ext, b, cols):
+            seen.append(cols.shape)
+            return real(A_ext, b, cols)
+
+        monkeypatch.setattr(lrac.simplex, "_factor", counting)
+        argv = ["sweep", "--problem", "toy", "--y0", "0", "--sweep", "T"]
+        code, out = _run(capsys, [*argv, "--values", "16,64,256,1024,4096"])
+        assert code == 0
+        assert len(out.splitlines()) == 6
+        assert seen == [(63,)]
+
     @pytest.mark.parametrize(
         "argv, calls",
         [
@@ -679,14 +703,14 @@ class TestSimplexCalls:
                 ],
                 1,
             ),
-            # three discounted measures off W, and no row's basis stays
-            # optimal at the next, so each row solves cold
+            # three discounted measures off W; the alpha = 0.99 basis stays
+            # optimal at 0.999, the alpha = 0.9 one does not at 0.99
             (
                 [
                     "sweep", "--problem", "random", "--states", "10", "--seed", "0",
                     "--y0", "0", "--sweep", "alpha", "--values", "0.9,0.99,0.999",
                 ],
-                3,
+                2,
             ),
             # at n = 320 the measure program took seconds; the cycle
             # recursion still answers without one
@@ -1232,13 +1256,15 @@ class TestBasisOnlyWhenProjecting:
 
     def test_projected_rows_unchanged(self, capsys):
         # all three rows are off W; these distances are the ones printed
-        # when the basis was built up front for every sweep
+        # when the basis was built up front for every sweep, but for the
+        # last digit, which the 23 test functions the projection drops
+        # (a tail of at most 2^-40) moved
         code, out = _run(capsys, ["sweep", *_SWEEP[1:-1], "0.9,0.99,0.999"])
         assert code == 0
         assert [line.split(",")[-1] for line in out.splitlines()[1:]] == [
-            "0.00705738705739",
-            "0.000705738705739",
-            "7.05738705739e-05",
+            "0.00705738705738",
+            "0.000705738705738",
+            "7.05738705738e-05",
         ]
 
 

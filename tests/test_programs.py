@@ -951,8 +951,8 @@ class TestProjection:
         real = simplex._warm_basis
         P = toy_graph.n_pairs
 
-        def drift(A_ext, b, cost, N, cols):
-            cols, Binv, x_B = real(A_ext, b, cost, N, cols)
+        def drift(*args):
+            cols, Binv, x_B = real(*args)
             x_B[np.flatnonzero(cols < P)[0]] += 1e-6  # a basic gamma weight
             return cols, Binv, x_B
 
@@ -990,3 +990,102 @@ class TestProjection:
         res = project_to_W(m, basis)
         assert abs(res.distance - box_distance(m, basis)) <= 1e-9
         assert membership_W(res.nearest, 1e-8)
+
+
+def _off_W_sweep(graph, y0):
+    """The measures off W that `lrac sweep` projects from y0, alpha 0.9 to
+    0.9999 and then T 16, 256 and 4096, in that order."""
+    measures = [discounted_measure(graph, y0, a) for a in (0.9, 0.99, 0.999, 0.9999)]
+    measures += [occupational_measure(policy_trajectory(graph, y0, T)) for T in (16, 256, 4096)]
+    return [m for m in measures if not membership_W(m)]
+
+
+class TestProjectionProgram:
+    """The program keeps the test functions that can move the distance,
+    merges equal ones, and is built once per run of projections."""
+
+    def test_toy_keeps_41_rows_within_2_to_the_minus_40(self, toy_graph):
+        m = discounted_measure(toy_graph, 15, 0.9)
+        res = project_to_W(m, chebyshev_basis(toy_graph))
+        assert res.program.rows.shape == (41, toy_graph.n_pairs)
+        assert np.array_equal(res.program.rows, chebyshev_basis(toy_graph).matrix[:41])
+        assert res.bound == pytest.approx(2.0**-40, rel=1e-6)
+        assert res.bound <= 2.0**-40
+
+    def test_threestate_merges_to_24_rows(self, threestate_graph):
+        basis = chebyshev_basis(threestate_graph)
+        res = project_to_W(discounted_measure(threestate_graph, 0, 0.9), basis)
+        P, rows = threestate_graph.n_pairs, res.program.rows
+        assert rows.shape == (24, P)
+        assert len(np.unique(rows, axis=0)) == 24
+        # each row carries the summed weight of the kept functions equal to
+        # it, and every kept function is equal to one row
+        F, w = basis.matrix[:41], basis.weights[:41]
+        equal = (F[:, None, :] == rows[None, :, :]).all(axis=2)
+        assert np.array_equal(equal.sum(axis=1), np.ones(41))
+        assert res.program.c[P : P + 24] == pytest.approx(w @ equal, rel=1e-15)
+        assert res.bound == pytest.approx(2.0**-40, rel=1e-6)
+
+    def test_sweeps_match_highs_over_every_function(self, toy_graph, threestate_graph):
+        """Every toy and threestate start, each start's measures projected
+        in sweep order, each warm from the last: within bound + 1e-10 of
+        HiGHS on all 64 functions."""
+        checked = 0
+        for graph in (toy_graph, threestate_graph):
+            basis = chebyshev_basis(graph)
+            for y0 in range(graph.n_states):
+                last = None
+                for m in _off_W_sweep(graph, y0):
+                    last = project_to_W(m, basis, warm=last)
+                    assert abs(last.distance - box_distance(m, basis)) <= last.bound + 1e-10
+                    assert membership_W(last.nearest, 1e-8)
+                    checked += 1
+        assert checked >= 80, checked
+
+    def test_run_of_projections_builds_one_program(self, toy_graph, monkeypatch):
+        real, built = lrac.programs._projection_program, []
+
+        def counting(metric):
+            built.append(metric)
+            return real(metric)
+
+        monkeypatch.setattr(lrac.programs, "_projection_program", counting)
+        basis = chebyshev_basis(toy_graph)
+        last = None
+        for m in _off_W_sweep(toy_graph, 0):
+            last = project_to_W(m, basis, warm=last)
+        assert built == [basis]
+        # another metric object builds its own
+        project_to_W(m, chebyshev_basis(toy_graph), warm=last)
+        assert len(built) == 2
+
+    def test_stale_kept_inverse_gives_the_cold_answer(self, toy_graph):
+        """A kept basis inverse offered at another measure, or with another
+        basis, is never read where it does not belong."""
+        basis = chebyshev_basis(toy_graph)
+        rows = [occupational_measure(policy_trajectory(toy_graph, 0, T)) for T in (16, 64, 256)]
+        first = project_to_W(rows[0], basis)
+        kept = project_to_W(rows[1], basis, warm=first)
+        assert kept.iterations == 0 and kept.kept is not None
+        # the same basis again reuses the inverse, bit for bit
+        again = project_to_W(rows[2], basis, warm=kept)
+        fresh = project_to_W(rows[2], basis, warm=first)
+        assert again.kept.Binv is kept.kept.Binv
+        assert fresh.kept.Binv is not kept.kept.Binv
+        assert again.distance == fresh.distance
+        assert np.array_equal(again.nearest.weights, fresh.nearest.weights)
+        # the same columns in another order are factored afresh
+        cols = kept.basis
+        turned = project_to_W(
+            rows[2], basis, warm=dataclasses.replace(kept, basis=np.r_[cols[1:], cols[:1]])
+        )
+        assert turned.iterations == 0 and turned.kept.Binv is not kept.kept.Binv
+        assert turned.distance == pytest.approx(fresh.distance, abs=1e-15)
+        # not optimal at another start's measure, or not a basis at all
+        other = discounted_measure(toy_graph, 15, 0.9)
+        cold = project_to_W(other, basis)
+        for warm in (kept, dataclasses.replace(kept, basis=np.r_[cols[1:], cols[1]])):
+            res = project_to_W(other, basis, warm=warm)
+            assert res.iterations == cold.iterations
+            assert res.distance == cold.distance
+            assert np.array_equal(res.basis, cold.basis)

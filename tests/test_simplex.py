@@ -407,13 +407,15 @@ class TestGapRowCrash:
         assert 0 < res.iterations < 188, res.iterations
 
 
-# The one single-row sweep found, over random n = 20 to 120, seeds 0-7,
-# y0 = 0 and n/2, T = 4, 16 and alpha = 0.9, 0.99, whose projection still
-# misses A x = b through roundoff in the updated B^-1 and x_B: the T = 4
-# measure of random n = 120, seed 1, y0 = 0.
+# A single-row sweep whose projection still misses A x = b through
+# roundoff in the updated B^-1 and x_B: the T = 4 measure of random
+# n = 160, seed 3, y0 = 80.  Over random n = 20 to 120 (seeds 0-7, y0 = 0
+# and n/2, T = 4 and 16, alpha = 0.9 and 0.99) no such row is left since
+# the program keeps 41 test functions; the first ones found are at n = 160
+# and 200.
 _REREAD_SWEEP = [
-    "sweep", "--problem", "random", "--states", "120", "--seed", "1",
-    "--y0", "0", "--sweep", "T", "--values", "4",
+    "sweep", "--problem", "random", "--states", "160", "--seed", "3",
+    "--y0", "80", "--sweep", "T", "--values", "4",
 ]
 
 

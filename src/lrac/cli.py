@@ -24,10 +24,10 @@ Only verify solves the theta = 0 measure program, once, over the states
 that search reached, as its independent cross-check; a sweep's only LPs
 are its projections onto W, which share one program, built at the
 first row off W over the test functions that can move the distance.
-Each row's projection offers the last row's optimal basis to the
-simplex's warm-start check, kept with no pivot while it stays optimal
-and read off the last kept inverse while its basis and row signs stay,
-so a sweep runs at most one cold solve per change of basis.  An empty
+Each row's projection hands the simplex the last row's final basis and
+its inverse; while the row signs stay, the basis is kept with no pivot
+if the values read off that inverse are feasible, so a sweep runs at
+most one cold solve per change of basis or of row signs.  An empty
 --values list is a usage error.  Every
 command's first use of y0 is that search, which rejects a y0 outside
 [0, n).

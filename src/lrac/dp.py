@@ -517,13 +517,22 @@ def greedy_policy(graph: Graph, h: ValueFunction) -> np.ndarray:
 def rollout(graph: Graph, y0: int, policy: Policy, steps: int) -> Trajectory:
     """Run a stationary policy from y0 for a fixed number of steps.
 
-    policy is either an array of action indices per state or a callable
-    state -> action index.  Raises InadmissibleAction when the chosen
+    policy is either an array of action indices, one integer per state,
+    or a callable state -> action index; an array of any other shape or
+    dtype raises ValueError.  Raises InadmissibleAction when the chosen
     action is not available in the current state.
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    pick = (lambda y: int(policy[y])) if isinstance(policy, np.ndarray) else policy
+    if isinstance(policy, np.ndarray):
+        if policy.shape != (graph.n_states,) or policy.dtype.kind not in "iu":
+            raise ValueError(
+                f"policy array must hold one integer action per state, shape "
+                f"({graph.n_states},); got {policy.dtype} of shape {policy.shape}"
+            )
+        pick = policy.tolist().__getitem__
+    else:
+        pick = policy
     # pair_of[y][u] is the pair index of (y, u), -1 where inadmissible
     n, K = graph.n_states, graph.problem.n_actions
     table = np.full((n, K), -1, dtype=int)

@@ -168,7 +168,9 @@ class MetricBasis:
 
     matrix[j, g] is the j-th test function at pair g; weight[j] scales its
     contribution to the metric.  Functions are expected to be bounded by
-    one in sup norm so the weighted sum dominates the metric.
+    one in sup norm so the weighted sum dominates the metric.  Matrix
+    entries must be finite and weights finite and nonnegative, so that rho
+    is a (pseudo)metric; a zero weight drops its function.
     """
 
     graph: Graph
@@ -183,6 +185,10 @@ class MetricBasis:
             raise ValueError("matrix must be (n_functions, n_pairs)")
         if w.shape != (mat.shape[0],):
             raise ValueError("need one weight per test function")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
+        if not (np.isfinite(w).all() and (w >= 0.0).all()):
+            raise ValueError("weights must be finite and nonnegative")
         mat.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

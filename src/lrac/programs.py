@@ -244,8 +244,8 @@ class ProjectionResult:
     simplex.LpSolution.basis), None when no program ran.  The distance over
     every test function of the metric lies in [distance, distance + bound],
     up to roundoff.  program and kept serve a next projection in the same
-    metric: the program less its right-hand side, and the basis inverse
-    simplex._solve_warm kept, None after a cold solve."""
+    metric: the program less its right-hand side, and the simplex's record
+    of the final basis (simplex.LpSolution.kept)."""
 
     distance: float
     nearest: OccupationalMeasure
@@ -758,12 +758,14 @@ def project_to_W(
     differ only in the right-hand side, so an optimal simplex basis stays
     optimal for another measure whenever its basic values stay
     nonnegative.  warm, a projection of another measure, lends its program
-    when it was built for this very metric object, and offers its final
-    basis to simplex._solve_warm, which keeps it with no pivot if it is
-    optimal here; otherwise the program is solved cold.  A basis kept
-    twice at the same row signs reuses the inverse the first keep
-    factored.  A run of projections, such as the rows of a sweep, thus
-    builds one program and pays one cold solve per change of basis.  An
+    when it was built for this very metric object, and hands the record of
+    its final basis, with that basis's inverse, to simplex._solve_warm.
+    On the same program and at the same row signs, the basis is kept with
+    no pivot if its basic values read off that inverse are feasible here;
+    otherwise the program is solved cold.  A run of projections, such as
+    the rows of a sweep, thus builds one program and pays one cold solve
+    per change of basis or of row signs; every other row reads its values
+    off the inverse the last solve ended with.  An
     optimal x that misses the probability simplex by more than roundoff
     raises InaccurateSolution, on either path, and so does a status other
     than optimal, as the program is feasible and bounded.
@@ -776,14 +778,10 @@ def project_to_W(
         program = _projection_program(basis)
     b = np.concatenate([[1.0], np.zeros(graph.n_states), program.rows @ measure.weights])
     lp = simplex.LinearProgram(c=program.c, A=program.A, b=b)
-    found = None
-    if warm is not None and warm.basis is not None:
-        found = simplex._solve_warm(lp, warm.basis, warm.kept)
-    if found is None:
+    sol = simplex._solve_warm(lp, warm.kept) if warm is not None else None
+    if sol is None:
         # feasible (any stationary measure) and bounded (costs >= 0)
-        sol, kept = _solve_optimal(lp, "projection program"), None
-    else:
-        sol, kept = found
+        sol = _solve_optimal(lp, "projection program")
     gamma = sol.x[: graph.n_pairs]
     try:
         nearest = OccupationalMeasure(graph=graph, weights=gamma)
@@ -799,5 +797,5 @@ def project_to_W(
         basis=sol.basis,
         bound=program.bound,
         program=program,
-        kept=kept,
+        kept=sol.kept,
     )

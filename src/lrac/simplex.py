@@ -39,31 +39,28 @@ their row of B^-1 A, and phase 2 bars them from entering.
 
 The updates are never refactorized, so they can leave roundoff in B^-1
 and x_B.  After phase 2 one matvec checks A x = b.  Only on a miss above
-FEAS_TOL is the final basis factored afresh, by the _factor that also
-serves the warm start; a singular final basis or a basic value below
--FEAS_TOL then raises InaccurateSolution, the others are clamped at zero.
+FEAS_TOL is the final basis factored afresh, by _factor; a singular
+final basis or a basic value below -FEAS_TOL then raises
+InaccurateSolution, the others are clamped at zero.
 
-solve(lp, basis=cols) offers a basis as LpSolution.basis gives it, m
-distinct column indices of [A | I].  It is kept, with no pivot, only if it
-factors, x_B >= -FEAS_TOL on the variables, |x_B| <= FEAS_TOL on basic
-artificials, A x = b within FEAS_TOL and d >= -OPT_TOL on the variables:
-then x is primal and y dual feasible with complementary slackness, so
-both are optimal.  Every test reads lp's own A, b and c.  Anything else is
-solved cold; the simplex never pivots from an offered basis, as the
+Every optimal LpSolution carries a private record, kept, of its final
+basis: lp's A and c arrays, the row flips, the columns and B^-1.  The
+reduced costs depend on A, c, the row flips and the basis, but not on b,
+so the basis stays optimal at another right-hand side as long as its
+basic values stay feasible.  _solve_warm(lp, kept), the one warm start,
+accepts kept only if lp has the very same A and c arrays and the same
+row flips.  It then reads x_B = B^-1 b and keeps the basis, with no
+pivot, when x_B >= -FEAS_TOL on the variables, |x_B| <= FEAS_TOL on
+basic artificials and A x = b within FEAS_TOL: x is primal feasible, y
+is the dual the solve that made kept ended optimal with, and the two are
+complementary, so both are optimal.  Otherwise it returns None and the
+caller solves cold; the simplex never pivots from a kept basis, as the
 lexicographic argument above starts from B_0 = I.
-
-The factor and the reduced costs depend on A, c, the row flips and the
-basis, but not on b.  A caller that solves one program at many
-right-hand sides uses _solve_warm, the same check, which also returns
-the B^-1 of a basis it kept.  Offered back with a program that has the
-very same A and c arrays, the same row flips and the same basis, that
-B^-1 is reused: only x_B = B^-1 b is read afresh, and only the x_B and
-A x = b tests are run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,6 +128,19 @@ class LinearProgram:
         return np.zeros(self.n_vars, dtype=bool)
 
 
+@dataclass(frozen=True)
+class _Kept:
+    """The final basis of an optimal solve: the A and c arrays of its
+    program, the row signs of the right-hand side it was optimal at, its
+    columns and their B^-1."""
+
+    A: np.ndarray
+    c: np.ndarray
+    flip: np.ndarray
+    cols: np.ndarray
+    Binv: np.ndarray
+
+
 @dataclass
 class LpSolution:
     """Solver outcome: status is "optimal", "infeasible" or "unbounded".
@@ -141,6 +151,8 @@ class LpSolution:
     the drive-out of artificials.
     basis holds the final basic columns, one per row, indexed over the
     variables, then the artificials; it too is None unless optimal.
+    kept, None unless optimal, is the record of that basis that
+    _solve_warm reads (see the module docstring).
     """
 
     status: str
@@ -151,19 +163,12 @@ class LpSolution:
     phase1_objective: float = 0.0
     phase1_iterations: int = 0
     basis: np.ndarray | None = None
+    kept: _Kept | None = field(default=None, repr=False, compare=False)
 
 
-def solve(
-    lp: LinearProgram, max_iter: int | None = None, basis: np.ndarray | None = None
-) -> LpSolution:
+def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     """Run two-phase revised simplex on a standard-form program, breaking
-    ratio-test ties lexicographically.  An offered basis, indexed as
-    LpSolution.basis is, is kept if it is optimal for lp (see the module
-    docstring); otherwise lp is solved cold."""
-    if basis is not None:
-        warm = _solve_warm(lp, basis)
-        if warm is not None:
-            return warm[0]
+    ratio-test ties lexicographically."""
     m, N = lp.n_rows, lp.n_vars
     flip, A_ext, b, phase2_cost = _extend(lp)
     A = A_ext[:, :N]
@@ -271,9 +276,8 @@ def solve(
                 f"final basis is not primal feasible: basic value {worst:.3g}"
             )
         np.maximum(x_B, 0.0, out=x_B)
-    return _optimal(
-        lp, flip, phase2_cost, basis, Binv, x_B, iterations, phase1_obj, phase1_iterations
-    )
+    kept = _Kept(lp.A, lp.c, flip, basis, Binv)
+    return _optimal(lp, kept, phase2_cost, x_B, iterations, phase1_obj, phase1_iterations)
 
 
 def _extend(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -289,70 +293,48 @@ def _extend(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 def _optimal(
     lp: LinearProgram,
-    flip: np.ndarray,
+    kept: _Kept,
     cost: np.ndarray,
-    basis: np.ndarray,
-    Binv: np.ndarray,
     x_B: np.ndarray,
     iterations: int = 0,
     phase1_objective: float = 0.0,
     phase1_iterations: int = 0,
 ) -> LpSolution:
-    """The optimal LpSolution of the basic solution x_B on basis, whose
-    B^-1 over the flipped rows is Binv; the row duals undo the flips."""
+    """The optimal LpSolution of the basic values x_B on kept's basis,
+    priced with cost; the row duals undo kept's row flips."""
     x_ext = np.zeros(lp.n_vars + lp.n_rows)
-    x_ext[basis] = x_B
+    x_ext[kept.cols] = x_B
     x = x_ext[: lp.n_vars]
     return LpSolution(
         status="optimal",
         objective=float(lp.c @ x),
         x=x,
-        y=(cost[basis] @ Binv) * flip,
+        y=(cost[kept.cols] @ kept.Binv) * kept.flip,
         iterations=iterations,
         phase1_objective=phase1_objective,
         phase1_iterations=phase1_iterations,
-        basis=basis.copy(),
+        basis=kept.cols.copy(),
+        kept=kept,
     )
 
 
-@dataclass(frozen=True)
-class _Kept:
-    """A basis that _solve_warm kept: the A and c arrays of its program,
-    the row signs of the right-hand side it was kept at, its columns, and
-    the B^-1 it was factored to and priced with."""
-
-    A: np.ndarray
-    c: np.ndarray
-    flip: np.ndarray
-    cols: np.ndarray
-    Binv: np.ndarray
-
-
-def _solve_warm(
-    lp: LinearProgram, cols, kept: _Kept | None = None
-) -> tuple[LpSolution, _Kept] | None:
-    """(solution, kept) if the offered basis cols passes the warm-start
-    checks of the module docstring for lp, None if it does not.  kept,
-    what an earlier call returned, lends its B^-1 when lp has the very A
-    and c arrays it was kept on, the same row signs and the same columns:
-    the factor and the reduced costs would come out the same, so only the
-    basic values are read afresh and checked.  The caller must not change
-    A or c in place between the calls."""
-    flip, A_ext, b, cost = _extend(lp)
-    Binv = None
-    if (
-        kept is not None
-        and kept.A is lp.A
-        and kept.c is lp.c
-        and np.array_equal(kept.flip, flip)
-        and np.array_equal(kept.cols, cols)
-    ):
-        Binv = kept.Binv
-    warm = _warm_basis(A_ext, b, cost, lp.n_vars, cols, Binv)
-    if warm is None:
+def _solve_warm(lp: LinearProgram, kept: _Kept | None) -> LpSolution | None:
+    """lp's optimal solution on the basis kept records, with no pivot, if
+    it passes the warm-start checks of the module docstring; None if it
+    does not.  The caller must not change A or c in place between the
+    solve that made kept and this one."""
+    if kept is None or kept.A is not lp.A or kept.c is not lp.c:
         return None
-    cols, Binv, x_B = warm
-    return _optimal(lp, flip, cost, cols, Binv, x_B), _Kept(lp.A, lp.c, flip, cols, Binv)
+    flip, A_ext, b, cost = _extend(lp)
+    if not np.array_equal(kept.flip, flip):
+        return None
+    x_B = kept.Binv @ b
+    art = kept.cols >= lp.n_vars
+    if x_B[~art].min(initial=0.0) < -FEAS_TOL or np.abs(x_B[art]).max(initial=0.0) > FEAS_TOL:
+        return None
+    if _equality_miss(A_ext, b, lp.n_vars, kept.cols, x_B) > FEAS_TOL:
+        return None
+    return _optimal(lp, kept, cost, np.maximum(x_B, 0.0))
 
 
 def _factor(A_ext: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,44 +348,6 @@ def _equality_miss(A_ext: np.ndarray, b: np.ndarray, N: int, cols: np.ndarray, x
     """Largest |A x - b| of the basic solution x_B on cols, artificials left out."""
     keep = cols < N
     return float(np.abs(A_ext[:, cols[keep]] @ x_B[keep] - b).max(initial=0.0))
-
-
-def _warm_basis(
-    A_ext: np.ndarray, b: np.ndarray, cost: np.ndarray, N: int, cols, Binv=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(cols, B^-1, x_B) if the offered basis cols passes the warm-start
-    checks of the module docstring, x_B clamped at zero; None if not.
-    Binv, when given, is B^-1 of cols in A_ext, already factored and
-    priced against cost by an earlier call that kept it: x_B = Binv b is
-    read and checked, and the factor and the reduced costs are skipped."""
-    m = b.size
-    cols = np.asarray(cols)
-    if (
-        cols.shape != (m,)
-        or cols.dtype.kind not in "iu"
-        or cols.min(initial=0) < 0
-        or cols.max(initial=0) >= N + m
-        or len(set(cols.tolist())) < m
-    ):
-        return None
-    priced = Binv is not None
-    if priced:
-        x_B = Binv @ b
-    else:
-        try:
-            Binv, x_B = _factor(A_ext, b, cols)
-        except np.linalg.LinAlgError:
-            return None
-    art = cols >= N
-    if x_B[~art].min(initial=0.0) < -FEAS_TOL or np.abs(x_B[art]).max(initial=0.0) > FEAS_TOL:
-        return None
-    if _equality_miss(A_ext, b, N, cols, x_B) > FEAS_TOL:
-        return None
-    if not priced:
-        reduced = cost[:N] - (cost[cols] @ Binv) @ A_ext[:, :N]
-        if reduced.min(initial=0.0) < -OPT_TOL:
-            return None
-    return cols.astype(int), Binv, np.maximum(x_B, 0.0)
 
 
 def _lex_min_row(Binv: np.ndarray, tied: np.ndarray, colvals: np.ndarray) -> int:

@@ -643,14 +643,15 @@ class TestSimplexCalls:
     verify solves the theta = 0 measure program once, as its independent
     cross-check; every k*(theta), theta = 0 included, comes off the cycle
     recursion.  A sweep's only LPs are its projections onto W, and each
-    row's projection offers simplex.solve the last row's optimal basis, so
-    a sweep solves cold once per change of basis.  Only cold solves are
-    counted: those offered no basis, or that took a pivot.  A second
-    program for any of them shows up here as an extra cold solve."""
+    row's projection hands the simplex the last row's final basis, so a
+    sweep solves cold once per change of basis.  A row that keeps that
+    basis does not call simplex.solve, so only cold solves are counted.
+    A second program for any of them shows up here as an extra cold
+    solve."""
 
-    def test_toy_T_sweep_factors_once(self, capsys, monkeypatch):
-        # the T = 16 row solves cold; T = 64 factors its basis to keep it,
-        # and the three rows after it read their values off that inverse
+    def test_toy_T_sweep_factors_nothing(self, capsys, monkeypatch):
+        # the T = 16 row solves cold, and the four rows after it read their
+        # values off the inverse that solve ended with
         real = lrac.simplex._factor
         seen = []
 
@@ -663,7 +664,7 @@ class TestSimplexCalls:
         code, out = _run(capsys, [*argv, "--values", "16,64,256,1024,4096"])
         assert code == 0
         assert len(out.splitlines()) == 6
-        assert seen == [(63,)]
+        assert seen == []
 
     @pytest.mark.parametrize(
         "argv, calls",
@@ -722,11 +723,8 @@ class TestSimplexCalls:
         seen = []
 
         def counting(lp, *args, **kwargs):
-            sol = real(lp, *args, **kwargs)
-            # a row whose offered basis is kept is not a cold solve
-            if kwargs.get("basis") is None or sol.iterations:
-                seen.append(lp.A.shape)
-            return sol
+            seen.append(lp.A.shape)
+            return real(lp, *args, **kwargs)
 
         monkeypatch.setattr(lrac.simplex, "solve", counting)
         code, _ = _run(capsys, argv)

@@ -429,6 +429,20 @@ class TestPoliciesAndRollouts:
         with pytest.raises(InadmissibleAction):
             rollout(threestate_graph, 2, np.ones(3, dtype=int), 3)
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            np.zeros(1, dtype=int),  # too short
+            np.zeros((21, 1), dtype=int),  # not one action per state
+            np.zeros(22, dtype=int),  # too long
+            np.full(21, 0.7),  # not integers
+            np.zeros(21, dtype=bool),
+        ],
+    )
+    def test_rollout_rejects_malformed_policy_array(self, toy_graph, policy):
+        with pytest.raises(ValueError, match="one integer action per state"):
+            rollout(toy_graph, 15, policy, 5)
+
     def test_rollout_callable_policy(self, threestate_graph):
         traj = rollout(threestate_graph, 0, lambda y: 1 if y == 0 else 0, 4)
         # 0 -(b)-> 2 then self loop

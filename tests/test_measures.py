@@ -10,6 +10,7 @@ from lrac import (
     ControlProblem,
     EmptySet,
     FlowMeasure,
+    MetricBasis,
     NoCycleDetected,
     OccupationalMeasure,
     basis_from_functions,
@@ -330,6 +331,53 @@ class TestBasisFromFunctions:
             threestate_graph, [lambda s, a: 1.0], weights=[3.0]
         )
         assert basis.weights.tolist() == [3.0]
+
+
+class TestMetricBasisChecks:
+    """Weights must be finite and nonnegative and the matrix finite: with
+    negated weights rho goes negative and a projection reads 0, and a NaN
+    weight turns rho into NaN."""
+
+    def _with(self, basis, **fields):
+        return MetricBasis(
+            graph=basis.graph,
+            matrix=fields.get("matrix", basis.matrix),
+            weights=fields.get("weights", basis.weights),
+            labels=basis.labels,
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda w: -w,
+            lambda w: np.r_[w[:-1], -1e-300],
+            lambda w: np.r_[np.nan, w[1:]],
+            lambda w: np.r_[w[:-1], np.inf],
+        ],
+    )
+    def test_bad_weights_are_rejected(self, toy_graph, change):
+        basis = chebyshev_basis(toy_graph)
+        with pytest.raises(ValueError, match="weights"):
+            self._with(basis, weights=change(basis.weights))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_rejected(self, toy_graph, bad):
+        basis = chebyshev_basis(toy_graph)
+        matrix = basis.matrix.copy()
+        matrix[3, 5] = bad
+        with pytest.raises(ValueError, match="matrix"):
+            self._with(basis, matrix=matrix)
+        with pytest.raises(ValueError, match="matrix"):
+            basis_from_functions(toy_graph, [lambda s, a: bad])
+
+    def test_zero_weights_are_allowed(self, toy_graph):
+        basis = chebyshev_basis(toy_graph)
+        weights = basis.weights.copy()
+        weights[1::2] = 0.0
+        zeroed = self._with(basis, weights=weights)
+        rng = np.random.default_rng(3)
+        m1, m2 = _random_measure(toy_graph, rng), _random_measure(toy_graph, rng)
+        assert 0.0 <= rho(m1, m2, zeroed) <= rho(m1, m2, basis)
 
 
 class TestRho:

@@ -482,8 +482,10 @@ class TestFinalBasisReread:
 
 
 class TestWarmStart:
-    """solve(lp, basis=...) keeps an offered basis, with no pivot, only if
-    it is optimal for lp; anything else is solved cold."""
+    """simplex._solve_warm(lp, kept) keeps the basis an optimal solve ended
+    with, with no pivot, only on lp's very A and c arrays at the same row
+    signs and only while its basic values stay feasible; otherwise it
+    returns None."""
 
     # min -x1 - 2 x2 s.t. x1 + s1 = 1, x2 + s2 = 1: columns x1, x2, s1, s2,
     # then the artificials 4 and 5; the optimal basis is {x1, x2}
@@ -493,7 +495,7 @@ class TestWarmStart:
         b=np.ones(2),
     )
 
-    def test_own_final_basis_is_kept(self):
+    def test_own_record_is_kept(self):
         rng = np.random.default_rng(42)
         lps = [(lp, 1e-12) for lp in [self.BOX, *(_random_bounded_lp(rng) for _ in range(30))]]
         # the cold y of toy's projection carries the roundoff of its 150-odd
@@ -503,42 +505,39 @@ class TestWarmStart:
         lps.append((_projection_lp(graph, measure.weights, chebyshev_basis(graph)), 1e-11))
         for lp, y_tol in lps:
             cold = solve(lp)
-            warm = solve(lp, basis=cold.basis)
+            warm = simplex._solve_warm(lp, cold.kept)
             assert warm.status == "optimal" and warm.iterations == 0
             assert np.array_equal(warm.basis, cold.basis)
             assert np.abs(warm.x - cold.x).max() <= 1e-12
             assert np.abs(warm.y - cold.y).max() <= y_tol
             assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "basis",
-        [
-            np.array([0]),  # wrong shape
-            np.array([0, 1, 2]),
-            np.array([0, 6]),  # out of range
-            np.array([-1, 0]),
-            np.array([0.0, 1.0]),  # not integers
-            np.array([1, 1]),  # repeated
-            np.array([0, 2]),  # x1 and s1 are both e_0: singular
-            np.array([4, 5]),  # artificials at level 1
-            np.array([2, 3]),  # feasible (x = 0), not optimal
-        ],
-    )
-    def test_refused_basis_solves_cold(self, basis):
-        cold = solve(self.BOX)
-        sol = solve(self.BOX, basis=basis)
-        assert sol.iterations == cold.iterations > 0
-        assert np.array_equal(sol.x, cold.x) and np.array_equal(sol.y, cold.y)
-        assert np.array_equal(sol.basis, cold.basis)
-
-    def test_dual_feasible_primal_infeasible_basis_solves_cold(self):
-        # min x1 + x2 s.t. x1 - 2 x2 = t: {x1} is optimal at t = 1; at t = -1
-        # it stays dual feasible but reads x1 = -1
+    def test_other_arrays_or_row_signs_return_none(self):
+        box = self.BOX
+        kept = solve(box).kept
+        assert simplex._solve_warm(box, kept) is not None
+        assert simplex._solve_warm(box, None) is None
+        # equal values in another array are not the program kept was made on
+        for lp in (
+            LinearProgram(c=box.c, A=box.A.copy(), b=box.b),
+            LinearProgram(c=box.c.copy(), A=box.A, b=box.b),
+        ):
+            assert simplex._solve_warm(lp, kept) is None
+        # min x1 + x2 s.t. x1 - 2 x2 = t: {x1} is optimal at t = 1; t = -1
+        # flips the row
         A, c = np.array([[1.0, -2.0]]), np.array([1.0, 1.0])
-        other = solve(LinearProgram(c=c, A=A, b=np.array([1.0])))
-        assert other.basis.tolist() == [0]
-        lp = LinearProgram(c=c, A=A, b=np.array([-1.0]))
-        cold = solve(lp)
-        sol = solve(lp, basis=other.basis)
-        assert sol.iterations == cold.iterations > 0
-        assert np.array_equal(sol.x, cold.x) and sol.objective == cold.objective == 0.5
+        kept = solve(LinearProgram(c=c, A=A, b=np.array([1.0]))).kept
+        assert kept.cols.tolist() == [0]
+        assert simplex._solve_warm(LinearProgram(c=c, A=A, b=np.array([2.0])), kept) is not None
+        assert simplex._solve_warm(LinearProgram(c=c, A=A, b=np.array([-1.0])), kept) is None
+
+    def test_negative_basic_value_returns_none(self):
+        # min x1 + x2 + x3 s.t. x1 + x3 = t1, x2 + x3 = t2: at t = (1, 2)
+        # the basis {x2, x3} reads x3 = t1, x2 = t2 - t1, which is -1 at
+        # t = (2, 1), same row signs
+        A, c = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), np.ones(3)
+        kept = solve(LinearProgram(c=c, A=A, b=np.array([1.0, 2.0]))).kept
+        assert sorted(kept.cols.tolist()) == [1, 2]
+        lp = LinearProgram(c=c, A=A, b=np.array([2.0, 1.0]))
+        assert simplex._solve_warm(lp, kept) is None
+        assert solve(lp).objective == pytest.approx(2.0)
